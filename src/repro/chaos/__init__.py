@@ -30,11 +30,10 @@ record every firing).
 
 from .plan import (CHAOS_ENV, CHAOS_LOG_ENV, KIND_CORRUPT, KIND_CRASH,
                    KIND_DELAY, KIND_ERROR, KIND_HANG, KIND_KILL, KIND_OOM,
-                   KIND_POISON, KIND_TORN, KINDS, FaultPlan, FaultSpec,
-                   InjectedKill, WorkerCrash, active, active_plan,
-                   execute_worker_fault, fire, install, install_from_env,
-                   mangle_record, payload_fault, register_poison_target,
-                   uninstall)
+                   KIND_TORN, KINDS, FaultPlan, FaultSpec, InjectedKill,
+                   WorkerCrash, active, active_plan, execute_worker_fault,
+                   fire, install, install_from_env, mangle_record,
+                   payload_fault, uninstall)
 
 __all__ = [
     "CHAOS_ENV",
@@ -50,7 +49,6 @@ __all__ = [
     "KIND_HANG",
     "KIND_KILL",
     "KIND_OOM",
-    "KIND_POISON",
     "KIND_TORN",
     "WorkerCrash",
     "active",
@@ -61,6 +59,5 @@ __all__ = [
     "install_from_env",
     "mangle_record",
     "payload_fault",
-    "register_poison_target",
     "uninstall",
 ]

@@ -73,11 +73,9 @@ KIND_TORN = "torn"      # a write is cut short mid-record
 KIND_CORRUPT = "corrupt"  # written bytes are mangled in place
 KIND_DELAY = "delay"    # the site sleeps args["seconds"] then proceeds
 KIND_KILL = "kill"      # the driver process is interrupted (SIGINT-like)
-KIND_POISON = "poison"  # silently corrupt resident worker state; the
-                        # damage must be caught by a guard, not by luck
 
 KINDS = (KIND_CRASH, KIND_OOM, KIND_HANG, KIND_ERROR, KIND_TORN,
-         KIND_CORRUPT, KIND_DELAY, KIND_KILL, KIND_POISON)
+         KIND_CORRUPT, KIND_DELAY, KIND_KILL)
 
 
 class WorkerCrash(Exception):
@@ -303,23 +301,6 @@ class active_plan:
 # Fault executors — shared by the instrumented layers
 # ----------------------------------------------------------------------
 
-#: callables that corrupt one resident-state surface when a ``poison``
-#: fault fires; layers with warm in-process state (the engine's worker
-#: scheduler) register theirs at import time
-_POISON_HOOKS: List = []
-
-
-def register_poison_target(hook) -> None:
-    """Register a resident-state corruptor for :data:`KIND_POISON`.
-
-    The hook must *silently* damage its state (no exception): the whole
-    point of the fault is proving that the owning layer's integrity
-    guard detects the damage on the next use, rather than serving
-    wrong answers from a clobbered solver or cache.
-    """
-    if hook not in _POISON_HOOKS:
-        _POISON_HOOKS.append(hook)
-
 
 def payload_fault(spec: FaultSpec) -> dict:
     """The picklable marker a scheduler attaches to a worker payload."""
@@ -346,10 +327,6 @@ def execute_worker_fault(fault: dict, inline: bool) -> None:
         raise WorkerCrash("chaos: worker hung and woke up")
     if kind == KIND_ERROR:
         raise RuntimeError("chaos: injected worker error")
-    if kind == KIND_POISON:
-        for hook in list(_POISON_HOOKS):
-            hook()
-        return
     if kind in (KIND_CRASH, KIND_OOM):
         if inline:
             raise WorkerCrash("chaos: injected worker %s" % kind)

@@ -92,7 +92,6 @@ def _config_from_args(args) -> Config:
         max_type_assignments=args.max_types,
         conflict_limit=args.conflict_limit,
         time_limit=args.time_limit,
-        incremental=not getattr(args, "no_incremental", False),
         absint=getattr(args, "absint", True),
     )
 
@@ -706,12 +705,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="CDCL conflict budget per SMT query")
     common.add_argument("--time-limit", type=float, default=None,
                         help="wall-clock budget in seconds per refinement job")
-    common.add_argument("--no-incremental", action="store_true",
-                        help="solve every SMT query on a fresh solver "
-                             "instead of reusing one incremental session "
-                             "per type assignment (A/B debugging; part of "
-                             "the cache key, so the two modes never share "
-                             "cached results)")
     common.add_argument("--absint", dest="absint", action="store_true",
                         default=True,
                         help="pre-prove refinement jobs with the verified "

@@ -39,12 +39,6 @@ class Config:
             enumeration oracle (:mod:`repro.smt.brute`) will exhaust;
             one half operand is 16 bits, so the default admits a
             half-precision unary rule plus analysis booleans.
-        incremental: run the refinement checks of one type assignment
-            through a shared :class:`repro.smt.solver.IncrementalSession`
-            (assumption-based CDCL; shared-prefix encoding) instead of a
-            fresh solver per query.  Identical verdicts either way on
-            decided queries; "unknown" budgets can differ, so the knob is
-            part of the cache key.
         absint: run the solver-verified abstract-interpretation tier
             (:mod:`repro.absint`) before dispatching each refinement
             check; a must-answer of "refines" short-circuits the SAT
@@ -65,7 +59,6 @@ class Config:
         time_limit=None,
         fp_formats=("half", "float", "double"),
         brute_max_bits: int = 22,
-        incremental: bool = True,
         absint: bool = True,
     ):
         self.max_width = max_width
@@ -80,7 +73,6 @@ class Config:
         self.time_limit = time_limit
         self.fp_formats = tuple(fp_formats)
         self.brute_max_bits = brute_max_bits
-        self.incremental = incremental
         self.absint = absint
 
     def to_dict(self) -> dict:
@@ -101,7 +93,6 @@ class Config:
             "time_limit": self.time_limit,
             "fp_formats": list(self.fp_formats),
             "brute_max_bits": self.brute_max_bits,
-            "incremental": self.incremental,
             "absint": self.absint,
         }
 

@@ -163,17 +163,15 @@ def check_assignment(
     t: ast.Transformation,
     types: TypeAssignment,
     config: Config,
-    session: Optional[IncrementalSession] = None,
 ) -> CheckOutcome:
     """Run the refinement checks for one concrete type assignment.
 
-    With ``config.incremental`` the 3×k refinement queries of this
-    assignment (and their CEGIS rounds) share one
-    :class:`IncrementalSession`: the hypothesis ψ and the template
-    encodings bit-blast once, later queries add only their goal, and
-    learned clauses carry over.  A caller may hand in a warm *session*
-    (the batch engine keeps one resident per worker); it is verified
-    against this assignment's fingerprint and reset on mismatch.
+    The 3×k refinement queries of this assignment (and their CEGIS
+    rounds) share one :class:`IncrementalSession`, built here and
+    dropped on return: the hypothesis ψ and the template encodings
+    bit-blast once, later queries add only their goal, and learned
+    clauses carry over.  No solver state outlives the call, so the
+    outcome is a function of (t, types, config) alone.
 
     With ``config.absint`` the solver-verified abstract tier runs
     first; a must-answer of "refines" returns "valid" with zero
@@ -196,14 +194,7 @@ def check_assignment(
         if config.time_limit is not None
         else None
     )
-    if config.incremental:
-        fingerprint = types.signature()
-        if session is None:
-            session = IncrementalSession(fingerprint)
-        elif session.fingerprint != fingerprint:
-            session.reset(fingerprint)
-    else:
-        session = None
+    session = IncrementalSession()
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline

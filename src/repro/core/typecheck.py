@@ -233,8 +233,7 @@ class TypeAssignment:
 
     def signature(self) -> str:
         """Canonical sorted ``var=type`` form; names this assignment's
-        width class (the batch engine uses the same form in job keys,
-        and incremental solver sessions use it as their fingerprint)."""
+        width class (the batch engine uses the same form in job keys)."""
         return ",".join(
             "%s=%s" % (var, self.mapping[var]) for var in sorted(self.mapping)
         )

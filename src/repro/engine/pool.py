@@ -300,11 +300,6 @@ def run_pool(
                     else:
                         abandon(payload, attempts, done,
                                 "job failed: %s" % value)
-                        if "StaleResidentState" in str(value):
-                            # the worker's resident solver state was
-                            # poisoned; its own guard already dropped
-                            # it, but recycle the process anyway
-                            recycle(w)
                 elif w.process.sentinel in ready \
                         or not w.process.is_alive():
                     handle_crash(w)

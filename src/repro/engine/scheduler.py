@@ -55,69 +55,21 @@ _HARD_TIMEOUT_FLOOR = 30.0
 _FUSE_MAX = 16
 
 
-class StaleResidentState(RuntimeError):
-    """A worker's resident solver state was mutated out-of-band.
-
-    Raised by the epoch guard at the top of :func:`run_job` when the
-    resident :class:`~repro.smt.solver.IncrementalSession`'s epoch no
-    longer matches the stamp recorded after the previous job — i.e.
-    something reset or clobbered the solver behind the scheduler's
-    back.  The guard drops all resident state before raising, so the
-    retried dispatch starts clean; the pool additionally recycles a
-    worker that reports this error.
-    """
-
-
 # ----------------------------------------------------------------------
-# Resident worker state.  A long-lived worker process keeps (a) the
-# most recently dispatched rules, parsed/typechecked/enumerated once
-# per rule instead of once per job, and (b) one incremental solver
-# session whose epoch doubles as an integrity stamp.  The session is
-# reset at the top of every job (determinism: a job's outcome must be
-# a function of its payload, never of worker history — that is what
-# makes the content-addressed cache and fused/unfused parity sound);
-# what stays warm across jobs is the rule plan cache, the hash-consed
-# term table, and the process itself.  See DESIGN.md, "Incremental
-# solving".
+# Resident worker state.  A long-lived worker process keeps the most
+# recently dispatched rules, parsed/typechecked/enumerated once per
+# rule instead of once per job.  Solver state is never resident:
+# check_assignment builds one incremental session per type assignment
+# and drops it on return, so a job's outcome is a function of its
+# payload alone, never of worker history — that is what makes the
+# content-addressed cache and fused/unfused parity sound.  What stays
+# warm across jobs is the rule plan cache, the hash-consed term table,
+# and the process itself.  See DESIGN.md, "Incremental solving".
 # ----------------------------------------------------------------------
 
 #: (text, knobs_json) -> {"t", "config", "checker", "mappings"}
 _RESIDENT_RULES: "OrderedDict" = OrderedDict()
 _RESIDENT_RULE_LIMIT = 4
-_SESSION = None           # the resident IncrementalSession, lazily built
-_SESSION_EPOCH = None     # its epoch as of the end of the last job
-
-
-def reset_resident_state() -> None:
-    """Drop every piece of warm per-process worker state."""
-    global _SESSION, _SESSION_EPOCH
-    _RESIDENT_RULES.clear()
-    _SESSION = None
-    _SESSION_EPOCH = None
-
-
-def _poison_resident() -> None:
-    """Chaos ``poison`` hook: silently corrupt the resident session.
-
-    Bumps the solver epoch without updating the scheduler's stamp —
-    exactly what an out-of-band reset/clobber of the resident solver
-    looks like.  :func:`run_job`'s guard must catch it.
-    """
-    if _SESSION is not None:
-        _SESSION.solver.epoch += 1
-
-
-chaos.register_poison_target(_poison_resident)
-
-
-def _validate_resident() -> None:
-    """The epoch guard: refuse to run on drifted resident state."""
-    if _SESSION is not None and _SESSION.epoch != _SESSION_EPOCH:
-        drift = (_SESSION.epoch, _SESSION_EPOCH)
-        reset_resident_state()
-        raise StaleResidentState(
-            "resident solver session epoch drifted (%s != stamped %s); "
-            "state dropped, job must be re-dispatched" % drift)
 
 
 def _resident_plan(text: str, knobs: dict) -> dict:
@@ -169,7 +121,6 @@ def run_job(payload: dict) -> dict:
     from ..core.semantics import Unsupported
     from ..core.typecheck import TypeAssignment
 
-    _validate_resident()
     start = time.monotonic()
     plan = _resident_plan(payload["text"], payload["knobs"])
     mappings = plan["mappings"]
@@ -178,31 +129,16 @@ def run_job(payload: dict) -> dict:
             "job %s: type assignment %d no longer enumerable"
             % (payload["key"][:12], payload["index"])
         )
-    config = plan["config"]
-    global _SESSION, _SESSION_EPOCH
-    session = None
-    if config.incremental:
-        if _SESSION is None:
-            from ..smt.solver import IncrementalSession
-
-            _SESSION = IncrementalSession()
-        else:
-            # deterministic per-job start: no clauses, activities or
-            # phases may leak in from earlier jobs of this worker
-            _SESSION.reset(None)
-        session = _SESSION
     try:
         outcome = check_assignment(
             plan["t"], TypeAssignment(plan["checker"], mappings[payload["index"]]),
-            config, session=session,
+            plan["config"],
         )
         result = outcome.to_dict()
     except Unsupported as e:
         result = {"status": "unsupported", "counterexample": None,
                   "kind": None, "queries": 0, "detail": str(e),
                   "timed_out": False}
-    finally:
-        _SESSION_EPOCH = _SESSION.epoch if _SESSION is not None else None
     result["key"] = payload["key"]
     result["elapsed"] = time.monotonic() - start
     return result

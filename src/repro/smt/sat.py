@@ -18,7 +18,7 @@ list of *assumption literals* that hold for that call only.  The
 learned-clause database, variable activities, saved phases and watch
 lists survive across calls, which is what makes families of
 near-identical queries (per-type-assignment refinement checks,
-CEGIS rounds) dramatically cheaper than solving each from scratch.
+CEGIS rounds) cheaper than solving each from scratch.
 When a query is unsatisfiable *because of its assumptions*, the subset
 of assumptions the proof used is available as
 :attr:`SatSolver.failed_assumptions` (the assumption-level analogue of
@@ -109,12 +109,6 @@ class SatSolver:
                  deadline: Optional[float] = None):
         self.conflict_limit = conflict_limit
         self.deadline = deadline
-        #: bumped by :meth:`reset`; lets callers holding literals from a
-        #: previous life of this solver detect that they are stale
-        self.epoch = 0
-        self._init_state(num_vars)
-
-    def _init_state(self, num_vars: int) -> None:
         self.num_vars = num_vars
         self.clauses: List[Clause] = []
         self.learned: List[Clause] = []
@@ -151,16 +145,6 @@ class SatSolver:
         self._simplified_at = 0
         self._heap: List = [(-0.0, v) for v in range(1, num_vars + 1)]
         heapq.heapify(self._heap)
-
-    def reset(self) -> None:
-        """Drop every clause, learned clause and assignment; bump epoch.
-
-        After a reset the solver is indistinguishable from a freshly
-        constructed one (except for :attr:`epoch`, which increments so
-        that stale references to pre-reset literals can be detected).
-        """
-        self.epoch += 1
-        self._init_state(0)
 
     # ------------------------------------------------------------------
     # Variable / clause management

@@ -42,17 +42,6 @@ class SolverError(Exception):
     """Raised when the solver cannot decide a query within its budget."""
 
 
-class StaleSolverError(Exception):
-    """An incremental session was reused across incompatible contexts.
-
-    Raised by :meth:`IncrementalSession.require` when a resident session
-    is asked to serve a query from a different width class (term-table
-    fingerprint mismatch) without an intervening :meth:`reset` — learned
-    clauses from one sort universe must never steer (or worse, answer)
-    a query over another.
-    """
-
-
 class Result:
     """Outcome of a satisfiability query.
 
@@ -99,10 +88,9 @@ class IncrementalSession:
     on their own, so retired queries leave no semantic residue — only
     reusable structure.
 
-    ``fingerprint`` names the width class / sort universe the session
-    was built for; :meth:`require` raises :class:`StaleSolverError` on a
-    mismatch so a resident session cannot silently serve a wrong-sorted
-    query (see ``Solver state hygiene`` in DESIGN.md).
+    One session serves exactly one type assignment
+    (:func:`repro.core.refinement.check_assignment` builds it and drops
+    it on return), so every query it sees shares one sort universe.
     """
 
     #: formulas whose :func:`repro.smt.terms.encoding_weight` exceeds
@@ -116,8 +104,7 @@ class IncrementalSession:
     #: separated by more than an order of magnitude.
     ONE_SHOT_WEIGHT_LIMIT = 1000
 
-    def __init__(self, fingerprint: Optional[str] = None):
-        self.fingerprint = fingerprint
+    def __init__(self):
         self.builder = CnfBuilder()
         self.blaster = BitBlaster(self.builder)
         self.solver = SatSolver(self.builder.num_vars)
@@ -128,26 +115,13 @@ class IncrementalSession:
         #: calls (the synthesis stream re-solves one growing formula)
         self._live_acts = 0
 
-    @property
-    def epoch(self) -> int:
-        """Bumped by :meth:`reset`; literals from older epochs are stale."""
-        return self.solver.epoch
-
-    def reset(self, fingerprint: Optional[str] = None) -> None:
-        """Drop all solver and encoding state; adopt a new fingerprint."""
-        self.solver.reset()
+    def reset(self) -> None:
+        """Drop all solver and encoding state."""
         self.builder = CnfBuilder()
         self.blaster = BitBlaster(self.builder)
+        self.solver = SatSolver(self.builder.num_vars)
         self._fed = 0
         self._live_acts = 0
-        self.fingerprint = fingerprint
-
-    def require(self, fingerprint: Optional[str]) -> None:
-        """Assert this session belongs to *fingerprint*'s width class."""
-        if self.fingerprint is not None and fingerprint != self.fingerprint:
-            raise StaleSolverError(
-                "incremental session for %r cannot serve %r; reset() first"
-                % (self.fingerprint, fingerprint))
 
     def _sync(self) -> None:
         """Ship clauses added to the builder since the last solve."""

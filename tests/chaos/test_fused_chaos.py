@@ -1,21 +1,16 @@
-"""Chaos against fused dispatch and warm-worker resident state.
+"""Chaos against fused dispatch.
 
 Fusion moves many jobs across the process boundary in one message, so
-the failure model gains two new hazards the plain path never had: a
-worker dying *mid-batch* (some sub-jobs finished, some not), and the
-resident solver state of a long-lived worker being silently corrupted
-between jobs.  These tests inject exactly those faults and pin the
-recovery contract: only unfinished sub-jobs are re-dispatched, no
-verdict is ever lost or double-reported, and a poisoned session is
-caught by the epoch guard, dropped, and the worker recycled.
+the failure model gains a hazard the plain path never had: a worker
+dying *mid-batch* (some sub-jobs finished, some not).  These tests
+inject exactly that fault and pin the recovery contract: only
+unfinished sub-jobs are re-dispatched, and no verdict is ever lost or
+double-reported.
 """
-
-import pytest
 
 from repro import chaos
 from repro.core import Config
 from repro.engine import EngineStats, Scheduler
-from repro.engine import scheduler as scheduler_mod
 from repro.engine.jobs import plan_transformation
 from repro.ir import parse_transformation
 
@@ -25,14 +20,6 @@ CONFIG = Config(max_width=8, prefer_widths=(4, 8),
                 max_type_assignments=4)
 
 GOOD = parse_transformation("%r = add %x, 0\n=>\n%r = %x\n", "good")
-
-
-@pytest.fixture(autouse=True)
-def clean_resident_state():
-    """Inline dispatch shares the parent's resident state; isolate it."""
-    scheduler_mod.reset_resident_state()
-    yield
-    scheduler_mod.reset_resident_state()
 
 
 def fused_payloads():
@@ -98,60 +85,3 @@ class TestCrashMidFusedBatch:
         assert all(s in ("valid", "unknown") for s in statuses)
         assert stats.crashes >= 1
         assert stats.crashes == stats.retries + stats.errors
-
-
-class TestPoisonedResidentState:
-    def test_epoch_guard_catches_poison_and_recovers(self):
-        # sub 0 warms the resident session; the poison fault then
-        # corrupts it out-of-band before sub 1 runs
-        plan = chaos.FaultPlan([chaos.FaultSpec(
-            "engine.worker.run", chaos.KIND_POISON, times=[1])], seed=7)
-        payloads, outcomes, stats, reports = run_fused(plan)
-
-        assert plan.fired_total() == 1
-        assert stats.crashes == 0  # the guard raises; nothing dies
-        assert stats.retries == 1  # only the job that hit stale state
-        assert stats.errors == 0   # the re-dispatch (clean state) works
-        assert sorted(outcomes) == sorted(p["key"] for p in payloads)
-        assert all(o["status"] == "valid" for o in outcomes.values())
-        assert reports == {p["key"]: 1 for p in payloads}
-
-    def test_poison_before_any_job_is_harmless(self):
-        # no resident session exists yet: the poison hook is a no-op
-        # and the batch must run to completion without a single retry
-        plan = chaos.FaultPlan([chaos.FaultSpec(
-            "engine.worker.run", chaos.KIND_POISON, times=[0])], seed=7)
-        payloads, outcomes, stats, reports = run_fused(plan)
-        assert plan.fired_total() == 1
-        assert stats.retries == 0
-        assert stats.errors == 0
-        assert all(o["status"] == "valid" for o in outcomes.values())
-
-    def test_inline_dispatch_also_guarded(self):
-        """--jobs 1 runs in the driver process; the same guard must
-        catch a poisoned session there (retried like any raise)."""
-        plan = chaos.FaultPlan([chaos.FaultSpec(
-            "engine.worker.run", chaos.KIND_POISON, times=[1])], seed=7)
-        payloads = fused_payloads()
-        stats = EngineStats()
-        scheduler = Scheduler(jobs=1, max_retries=2)
-        with chaos.active_plan(plan):
-            outcomes = scheduler.run(payloads, stats=stats)
-        assert stats.retries == 1
-        assert stats.errors == 0
-        assert all(o["status"] == "valid" for o in outcomes.values())
-
-    def test_guard_unit_semantics(self):
-        """Direct unit check: drifted epoch -> StaleResidentState and
-        all resident state dropped before the raise."""
-        payloads = fused_payloads()
-        scheduler_mod.run_job(payloads[0])  # warms _SESSION in-process
-        assert scheduler_mod._SESSION is not None
-        scheduler_mod._SESSION.solver.epoch += 1  # out-of-band clobber
-        with pytest.raises(scheduler_mod.StaleResidentState):
-            scheduler_mod.run_job(payloads[1])
-        assert scheduler_mod._SESSION is None
-        assert not scheduler_mod._RESIDENT_RULES
-        # and the very next dispatch starts clean and succeeds
-        outcome = scheduler_mod.run_job(payloads[1])
-        assert outcome["status"] == "valid"

@@ -60,8 +60,9 @@ class TestSchedules:
         assert plan.fired_total() == 0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            chaos.FaultSpec("s", "meteor-strike")
+        for kind in ("meteor-strike", "poison"):
+            with pytest.raises(ValueError):
+                chaos.FaultSpec("s", kind)
 
 
 class TestTransport:

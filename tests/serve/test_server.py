@@ -99,9 +99,10 @@ class TestBadRequests:
     def test_unknown_knob(self, make_server):
         harness = make_server()
         with harness.client() as client:
-            response = client.submit(GOOD, knobs={"warp_factor": 9})
-        assert response["error"] == "bad_request"
-        assert "warp_factor" in response["detail"]
+            for knob, value in (("warp_factor", 9), ("incremental", False)):
+                response = client.submit(GOOD, knobs={knob: value})
+                assert response["error"] == "bad_request"
+                assert knob in response["detail"]
 
     def test_garbage_line_keeps_connection_alive(self, make_server):
         harness = make_server()

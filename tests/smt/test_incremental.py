@@ -18,8 +18,8 @@ import pytest
 
 from repro.smt import terms as T
 from repro.smt.sat import SAT, UNSAT, SatSolver
-from repro.smt.solver import (IncrementalSession, StaleSolverError,
-                              check_sat, solve_exists_forall)
+from repro.smt.solver import (IncrementalSession, check_sat,
+                              solve_exists_forall)
 
 #: differential seeds (the ISSUE floor is 200)
 SEEDS = range(220)
@@ -162,7 +162,7 @@ class TestSessionQueries:
 
     def test_session_verdicts_match_fresh(self):
         x, y, family = self._family()
-        session = IncrementalSession("w4")
+        session = IncrementalSession()
         for formula in family:
             fresh = check_sat(formula)
             inc = session.check(formula)
@@ -203,93 +203,91 @@ class TestSessionQueries:
         assert solve_exists_forall([x], [u], phi2, session=session).status \
             == solve_exists_forall([x], [u], phi2).status == UNSAT
 
-
-class TestEpochGuard:
-    """The stale-solver-state footgun (ISSUE satellite): reuse across
-    incompatible width classes must be caught, and reset must leave a
-    solver indistinguishable from a fresh one."""
-
-    def test_require_raises_on_fingerprint_mismatch(self):
-        session = IncrementalSession("t0=i4")
-        session.require("t0=i4")  # same class: fine
-        with pytest.raises(StaleSolverError):
-            session.require("t0=i8")
-
-    def test_reset_bumps_epoch_and_drops_all_state(self):
+    def test_reset_session_matches_fresh_session(self):
+        """After reset() a session takes the identical search path as a
+        freshly built one (same verdict, decisions and conflicts)."""
         x = T.bv_var("x", 4)
-        session = IncrementalSession("t0=i4")
-        session.check(T.eq(T.bvmul(x, x), T.bv_const(9, 4)))
-        assert session.solver.num_vars > 0
-        epoch = session.epoch
-        session.reset("t0=i8")
-        assert session.epoch == epoch + 1
-        assert session.fingerprint == "t0=i8"
-        assert session.solver.num_vars == 0
-        assert session.solver.clauses == []
-        assert session.solver.learned == []
-
-    def test_reset_solver_equals_fresh_solver(self):
-        """After reset(), the same query must take the identical search
-        path as on a fresh solver (same decisions and conflicts)."""
-        rng = random.Random(99)
-        num_vars = 10
-        clauses = [random_clause(rng, num_vars) for _ in range(30)]
-
-        used = SatSolver(4)
-        for c in ([[1, 2], [-1, 2], [1, -2]]
-                  + [random_clause(rng, 4) for _ in range(5)]):
-            used.add_clause(c)
-        used.solve()
+        y = T.bv_var("y", 4)
+        query = T.and_(T.eq(T.bvmul(x, y), T.bv_const(6, 4)),
+                       T.ult(x, y))
+        used = IncrementalSession()
+        used.check(T.eq(T.bvmul(x, x), T.bv_const(9, 4)))
         used.reset()
-        used.ensure_num_vars(num_vars)
-        for c in clauses:
-            used.add_clause(c)
+        assert used.solver.clauses == [] and used.solver.learned == []
+        fresh = IncrementalSession()
+        a, b = used.check(query), fresh.check(query)
+        assert a.status == b.status == SAT
+        assert (used.solver.decisions, used.solver.conflicts) \
+            == (fresh.solver.decisions, fresh.solver.conflicts)
+        assert a.model == b.model
 
-        fresh = SatSolver(num_vars)
-        for c in clauses:
-            fresh.add_clause(c)
 
-        assert used.solve() == fresh.solve()
-        assert used.decisions == fresh.decisions
-        assert used.conflicts == fresh.conflicts
-        assert [used.model_value(v) for v in range(1, num_vars + 1)] \
-            == [fresh.model_value(v) for v in range(1, num_vars + 1)]
+class TestCegisThroughCheckAssignment:
+    """check_assignment must reach the assumption-based CEGIS stream.
 
-    def test_check_assignment_resets_mismatched_session(self):
-        """A resident session handed to check_assignment with the wrong
-        width-class fingerprint is reset, not silently reused — the
-        verdict matches a cold check exactly."""
+    Two ``i8`` undef operands in the source make the universal domain
+    2^16, past ``solve_exists_forall``'s expansion limit, so every
+    refinement query with them runs CEGIS inside the assignment's
+    session.  No benchmark workload has such a rule.  Each query is
+    re-decided by the brute-force ∃∀ game of :mod:`repro.smt.brute`,
+    so the verdict is checked against an independent backend.
+    """
+
+    RULES = {
+        "valid": "%a = and i8 %x, undef\n%r = or %a, undef\n=>\n%r = %x\n",
+        "invalid": ("%a = and i8 %x, undef\n%r = and %a, undef\n=>\n"
+                    "%r = or %x, 1\n"),
+    }
+
+    @pytest.mark.parametrize("expected", sorted(RULES))
+    def test_cegis_stream_verdict_matches_brute(self, expected,
+                                                monkeypatch):
+        from repro.core import refinement
         from repro.core.config import Config
-        from repro.core.refinement import check_assignment
         from repro.core.typecheck import TypeAssignment, TypeChecker
         from repro.ir import parse_transformation
+        from repro.smt.brute import brute_exists_forall
         from repro.typing.enumerate import enumerate_assignments
 
-        t = parse_transformation("%r = add %x, 0\n=>\n%r = %x\n", "t")
-        # absint=False: the abstract tier proves this rule without ever
-        # touching the solver, and this test targets the session guard.
-        config = Config(max_width=8, prefer_widths=(4, 8),
-                        max_type_assignments=2, absint=False)
+        t = parse_transformation(self.RULES[expected], expected)
+        # absint=False: the abstract tier must not answer for the solver
+        config = Config(max_width=8, prefer_widths=(8,),
+                        max_type_assignments=1, absint=False)
         checker = TypeChecker()
         system = checker.check_transformation(t)
-        mappings = list(enumerate_assignments(
+        (mapping,) = enumerate_assignments(
             system, max_width=config.max_width,
-            prefer=config.prefer_widths,
-            limit=config.max_type_assignments))
-        assert len(mappings) >= 2
-        assignments = [TypeAssignment(checker, m) for m in mappings]
-        assert assignments[0].signature() != assignments[1].signature()
+            prefer=config.prefer_widths, limit=1)
 
-        cold = [check_assignment(t, a, config) for a in assignments]
+        queries = []
+        guards = []
 
-        # run assignment 0, then reuse the *same* session for
-        # assignment 1 (an incompatible width class)
-        session = IncrementalSession()
-        warm0 = check_assignment(t, assignments[0], config, session=session)
-        assert session.fingerprint == assignments[0].signature()
-        epoch_before = session.epoch
-        warm1 = check_assignment(t, assignments[1], config, session=session)
-        assert session.epoch > epoch_before  # the guard reset it
-        assert session.fingerprint == assignments[1].signature()
-        assert warm0.to_dict() == cold[0].to_dict()
-        assert warm1.to_dict() == cold[1].to_dict()
+        def recording_solve(outer, inner, phi, **kwargs):
+            result = solve_exists_forall(outer, inner, phi, **kwargs)
+            queries.append((outer, inner, phi, result))
+            return result
+
+        def recording_new_assumption(session):
+            guards.append(session)
+            return new_assumption(session)
+
+        new_assumption = IncrementalSession.new_assumption
+        monkeypatch.setattr(refinement, "solve_exists_forall",
+                            recording_solve)
+        monkeypatch.setattr(IncrementalSession, "new_assumption",
+                            recording_new_assumption)
+        outcome = refinement.check_assignment(
+            t, TypeAssignment(checker, mapping), config)
+
+        assert outcome.status == expected
+        assert guards, "no activation-guarded CEGIS stream ran"
+        assert any(r.stats.get("cegis_rounds", 0) > 0
+                   for _, _, _, r in queries)
+        # one session per assignment: every guard lives in the same one
+        assert len(set(map(id, guards))) == 1
+        for outer, inner, phi, result in queries:
+            brute, _ = brute_exists_forall(outer, inner, phi,
+                                           max_assignments=1 << 24)
+            assert brute == result.status
+        # the checks stop at the first satisfiable (refuting) query
+        assert (queries[-1][3].is_sat()) == (expected == "invalid")

@@ -13,6 +13,7 @@ interpreter (which executes it), and the rewriter (which applies it).
 
 import itertools
 import random
+import zlib
 
 import pytest
 
@@ -38,13 +39,18 @@ def _exhaustive_behaviour(fn):
 
 
 def _const_samples(t, rng, n=6):
+    """Constant assignments to try: every combination of the interesting
+    values when there are at most two constants, else *n* random ones.
+
+    Enumerating guarantees that narrow preconditions (``isSignBit(C)``
+    holds for one i4 value only) are exercised on every run."""
     consts = [v.name for v in t.inputs()
               if isinstance(v, ast.ConstantSymbol)]
     interesting = [0, 1, 2, 3, 4, 7, 8, 15]
-    samples = []
-    for _ in range(n):
-        samples.append({c: rng.choice(interesting) for c in consts})
-    return samples
+    if len(consts) <= 2:
+        return [dict(zip(consts, values)) for values in
+                itertools.product(interesting, repeat=len(consts))]
+    return [{c: rng.choice(interesting) for c in consts} for _ in range(n)]
 
 
 @pytest.mark.parametrize("t", load_all_flat(), ids=lambda t: t.name)
@@ -53,7 +59,8 @@ def test_applied_optimization_refines(t):
     if isinstance(t.src[t.root], (ast.Store, ast.Load, ast.Alloca,
                                   ast.GEP, ast.Unreachable)):
         pytest.skip("memory-rooted templates are verified but not applied")
-    rng = random.Random(hash(t.name) & 0xFFFF)
+    # crc32, not hash(): str hashes change with PYTHONHASHSEED.
+    rng = random.Random(zlib.crc32(t.name.encode()))
     fired = 0
     for const_values in _const_samples(t, rng):
         try:

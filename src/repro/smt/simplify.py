@@ -14,6 +14,11 @@ All rules are proven semantics-preserving by the property tests in
 ``tests/smt/test_simplify.py``, which compare against the evaluator over
 full input spaces.  The verifier calls :func:`simplify` on each query
 right before bit-blasting (disable with ``Config.simplify_queries``).
+
+Each pass visits each distinct DAG node once: its memo is keyed on the
+node the walk was called with, not on the rewritten result, so a shared
+sub-DAG whose subtree changed is not walked again.  A pass is linear in
+the DAG size, however deeply the query shares sub-terms.
 """
 
 from __future__ import annotations
@@ -142,12 +147,15 @@ def simplify(term: Term, max_passes: int = 4) -> Term:
 
 
 def _one_pass(term: Term) -> Term:
+    # input node id -> its rewrite; every input node stays alive inside
+    # *term* for the whole pass, so its id cannot be reused
     cache: Dict[int, Term] = {}
 
-    def walk(t: Term) -> Term:
-        cached = cache.get(id(t))
+    def walk(node: Term) -> Term:
+        cached = cache.get(id(node))
         if cached is not None:
             return cached
+        t = node
         if t.args:
             new_args = tuple(walk(a) for a in t.args)
             if any(n is not o for n, o in zip(new_args, t.args)):
@@ -156,7 +164,7 @@ def _one_pass(term: Term) -> Term:
             replacement = rule(t)
             if replacement is not None and replacement is not t:
                 t = replacement
-        cache[id(t)] = t
+        cache[id(node)] = t
         return t
 
     return walk(term)

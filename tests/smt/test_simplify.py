@@ -140,3 +140,67 @@ def test_simplify_never_grows_much(term):
     before = T.term_size(term)
     after = T.term_size(simplify(term))
     assert after <= before + 2  # rules may introduce one wrapper node
+
+
+class TestLinearPass:
+    """Each pass visits each distinct DAG node once, however deeply
+    sub-terms are shared.  A memo keyed on the *rewritten* node misses
+    on every revisit of a changed subtree and re-walks it: 2**DEPTH
+    rule visits on the DAG below."""
+
+    DEPTH = 24
+
+    @staticmethod
+    def shared_dag(depth):
+        # the bottom node rewrites (bvsub x, k -> bvadd x, -k), so every
+        # level above it changes too; each level uses the one below twice
+        t = T.bvsub(X, T.bv_const(3, WIDTH))
+        for _ in range(depth):
+            t = T.bvmul(t, t)
+        return t
+
+    @pytest.fixture
+    def visits(self, monkeypatch):
+        """Counts rule applications; fails fast past the linear budget
+        instead of running an exponential walk to completion."""
+        import repro.smt.simplify as S
+
+        counter = {"n": 0, "budget": 0, "rules": len(S._RULES)}
+
+        def counted(rule):
+            def wrapper(t):
+                counter["n"] += 1
+                assert counter["n"] <= counter["budget"], \
+                    "a pass revisits shared nodes"
+                return rule(t)
+            return wrapper
+
+        monkeypatch.setattr(S, "_RULES", tuple(counted(r) for r in S._RULES))
+        return counter
+
+    def test_rule_visits_linear_in_dag_size(self, visits):
+        from repro.smt.simplify import _one_pass
+
+        original = term = self.shared_dag(self.DEPTH)
+        for _ in range(4):
+            visits["n"] = 0
+            visits["budget"] = visits["rules"] * T.term_size(term)
+            new = _one_pass(term)
+            if new is term:
+                break
+            term = new
+        else:
+            pytest.fail("no fixpoint within four passes")
+        assert term is not original  # the bottom rewrite really fired
+
+    def test_idempotent_on_shared_dag(self, visits):
+        term = self.shared_dag(self.DEPTH)
+        # simplify runs at most four passes
+        visits["budget"] = 4 * visits["rules"] * T.term_size(term)
+        s = simplify(term)
+        assert s is not term
+        visits["n"] = 0
+        assert simplify(s) is s
+
+    def test_shared_dag_semantics(self):
+        assert_equivalent(self.shared_dag(3))

@@ -3,7 +3,13 @@
 Every bitvector term is compiled to a little-endian list of SAT literals
 (index 0 = least significant bit); Boolean terms compile to a single
 literal.  Compilation is memoized on term identity, so shared DAG nodes
-(ubiquitous in the ite-chain memory encoding) are compiled once.
+(ubiquitous in the ite-chain memory encoding) are compiled once.  Below
+the terms, the :class:`~repro.smt.cnf.CnfBuilder` hashes every gate
+structurally: distinct terms that build the same gate over the same
+literals share its output variable.  ``bvurem x, y`` after
+``bvudiv x, y`` re-walks the same restoring divider and adds nothing,
+and the source and target halves of a refinement query share every
+gate they have in common.
 
 Circuit constructions are the classic ones: ripple-carry adders, a
 shift-add multiplier, a restoring divider, logarithmic barrel shifters,

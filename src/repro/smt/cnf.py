@@ -4,11 +4,28 @@ Literals follow the DIMACS convention: variables are positive integers
 ``1..n`` and a literal is ``+v`` or ``-v``.  :class:`CnfBuilder` hands out
 fresh variables and accumulates clauses; the Tseitin-style gate helpers
 keep the encoding linear in the circuit size.
+
+The gates are structurally hashed, as in an and-inverter graph: each
+builder keeps one dict from a normalized gate key to the gate's output
+literal, so a gate built twice over the same inputs - from two terms,
+two halves of a refinement query or two queries of one session - gets
+one variable and one set of definition clauses.  The keys are:
+
+* ``and``: the inputs after constant folding, sorted and deduplicated
+  (complementary inputs fold to false);
+* ``xor``: the sorted absolute input values, with the sign parity moved
+  onto the returned literal;
+* ``ite``: a positive selector (a negative one swaps the branches).
+
+A definition is a permanent, unguarded equivalence between the output
+and its inputs, so reusing it in any later constraint of the same
+builder is sound.  Plain clauses (:meth:`CnfBuilder.add_clause`) and
+fresh variables (:meth:`CnfBuilder.new_var`) are never cached.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 TRUE_LIT_NAME = "__true__"
 
@@ -24,6 +41,8 @@ class CnfBuilder:
     def __init__(self) -> None:
         self.num_vars = 0
         self.clauses: List[List[int]] = []
+        #: structural hash: normalized gate key -> output literal
+        self._gates: Dict[Tuple, int] = {}
         self.true_lit = self.new_var()
         self.add_clause([self.true_lit])
 
@@ -70,7 +89,8 @@ class CnfBuilder:
         self.clauses.append(out)
 
     # ------------------------------------------------------------------
-    # Tseitin gates.  Each returns a literal equivalent to the gate output.
+    # Tseitin gates.  Each returns a literal equivalent to the gate output;
+    # a gate whose normalized key was built before returns the same one.
     # ------------------------------------------------------------------
 
     def lit_const(self, value: bool) -> int:
@@ -80,24 +100,23 @@ class CnfBuilder:
         return -a
 
     def gate_and(self, lits: Iterable[int]) -> int:
-        lits = [l for l in lits]
-        if not lits:
-            return self.true_lit
-        folded = []
+        true_lit = self.true_lit
+        inputs = set()
         for l in lits:
-            if l == self.false_lit:
-                return self.false_lit
-            if l == self.true_lit:
+            if l == true_lit:
                 continue
-            folded.append(l)
-        if not folded:
-            return self.true_lit
-        if len(folded) == 1:
-            return folded[0]
-        out = self.new_var()
-        for l in folded:
-            self.add_clause([-out, l])
-        self.add_clause([out] + [-l for l in folded])
+            if l == -true_lit or -l in inputs:
+                return -true_lit
+            inputs.add(l)
+        if len(inputs) < 2:
+            return inputs.pop() if inputs else true_lit
+        key = ("and",) + tuple(sorted(inputs))
+        out = self._gates.get(key)
+        if out is None:
+            out = self._gates[key] = self.new_var()
+            for l in key[1:]:
+                self.add_clause([-out, l])
+            self.add_clause([out] + [-l for l in key[1:]])
         return out
 
     def gate_or(self, lits: Iterable[int]) -> int:
@@ -116,12 +135,17 @@ class CnfBuilder:
             return self.false_lit
         if a == -b:
             return self.true_lit
-        out = self.new_var()
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
-        return out
+        negate = (a < 0) != (b < 0)
+        a, b = sorted((abs(a), abs(b)))
+        key = ("xor", a, b)
+        out = self._gates.get(key)
+        if out is None:
+            out = self._gates[key] = self.new_var()
+            self.add_clause([-out, a, b])
+            self.add_clause([-out, -a, -b])
+            self.add_clause([out, -a, b])
+            self.add_clause([out, a, -b])
+        return -out if negate else out
 
     def gate_iff(self, a: int, b: int) -> int:
         return -self.gate_xor(a, b)
@@ -138,14 +162,19 @@ class CnfBuilder:
             return c
         if t == self.false_lit and e == self.true_lit:
             return -c
-        out = self.new_var()
-        self.add_clause([-out, -c, t])
-        self.add_clause([-out, c, e])
-        self.add_clause([out, -c, -t])
-        self.add_clause([out, c, -e])
-        # redundant but helps propagation when t == e at runtime
-        self.add_clause([-out, t, e])
-        self.add_clause([out, -t, -e])
+        if c < 0:
+            c, t, e = -c, e, t
+        key = ("ite", c, t, e)
+        out = self._gates.get(key)
+        if out is None:
+            out = self._gates[key] = self.new_var()
+            self.add_clause([-out, -c, t])
+            self.add_clause([-out, c, e])
+            self.add_clause([out, -c, -t])
+            self.add_clause([out, c, -e])
+            # redundant but helps propagation when t == e at runtime
+            self.add_clause([-out, t, e])
+            self.add_clause([out, -t, -e])
         return out
 
     def gate_full_adder(self, a: int, b: int, cin: int):

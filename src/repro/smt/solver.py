@@ -80,13 +80,14 @@ class IncrementalSession:
 
     A session instead keeps one :class:`BitBlaster` (whose term→literal
     memo makes the shared prefix of each new query free — hash-consed
-    terms compile once) feeding one incremental :class:`SatSolver`
-    (whose learned clauses, activities and phases carry over).  Queries
-    are posed as *assumptions*: the Tseitin root literal of a formula is
-    assumed rather than asserted, so it constrains exactly one
-    :meth:`check` call.  Gate definition clauses are always satisfiable
-    on their own, so retired queries leave no semantic residue — only
-    reusable structure.
+    terms compile once, and the builder's gate cache shares identical
+    gates built from different terms) feeding one incremental
+    :class:`SatSolver` (whose learned clauses, activities and phases
+    carry over).  Queries are posed as *assumptions*: the Tseitin root
+    literal of a formula is assumed rather than asserted, so it
+    constrains exactly one :meth:`check` call.  Gate definition clauses
+    are always satisfiable on their own, so retired queries leave no
+    semantic residue — only reusable structure.
 
     One session serves exactly one type assignment
     (:func:`repro.core.refinement.check_assignment` builds it and drops

@@ -150,3 +150,16 @@ def test_structural_ops_via_validity():
         for clause in bb.builder.clauses:
             solver.add_clause(clause)
         assert solver.solve() == "unsat", identity
+
+
+def test_urem_after_udiv_shares_the_divider():
+    """``udiv x, y`` and ``urem x, y`` build the same restoring divider;
+    the builder's gate cache makes the second one free."""
+    x, y = T.bv_var("x", 4), T.bv_var("y", 4)
+    bb = BitBlaster()
+    bb.bits(T.bvudiv(x, y))
+    vars_before = bb.builder.num_vars
+    clauses_before = len(bb.builder.clauses)
+    bb.bits(T.bvurem(x, y))
+    assert bb.builder.num_vars == vars_before
+    assert len(bb.builder.clauses) == clauses_before

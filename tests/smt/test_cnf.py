@@ -114,3 +114,67 @@ class TestGateSimplification:
             solver.add_clause(clause)
         assert solver.solve() == SAT
         assert solver.model_value(b.true_lit)
+
+
+class TestGateCache:
+    """Structural hashing: one variable per distinct normalized gate."""
+
+    @pytest.mark.parametrize("build", [
+        lambda b, x, y, z: b.gate_and([x, y, z]),
+        lambda b, x, y, z: b.gate_xor(x, y),
+        lambda b, x, y, z: b.gate_ite(x, y, z),
+    ], ids=["and", "xor", "ite"])
+    def test_same_gate_twice_is_one_literal(self, build):
+        b = CnfBuilder()
+        x, y, z = b.new_vars(3)
+        first = build(b, x, y, z)
+        vars_before, clauses_before = b.num_vars, len(b.clauses)
+        assert build(b, x, y, z) == first
+        assert (b.num_vars, len(b.clauses)) == (vars_before, clauses_before)
+
+    def test_and_ignores_order_and_duplicates(self):
+        b = CnfBuilder()
+        x, y, z = b.new_vars(3)
+        out = b.gate_and([x, -y, z])
+        vars_before = b.num_vars
+        assert b.gate_and([z, x, -y]) == out
+        assert b.gate_and([-y, z, z, x, -y]) == out
+        assert b.gate_and([x, b.true_lit, z, -y]) == out
+        assert b.gate_or([-z, y, -x]) == -out
+        assert b.num_vars == vars_before
+        assert b.gate_and([x, x]) == x
+
+    def test_and_of_complements_is_false(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        clauses_before = len(b.clauses)
+        assert b.gate_and([x, -x]) == b.false_lit
+        assert b.gate_and([y, x, -x]) == b.false_lit
+        assert len(b.clauses) == clauses_before
+
+    def test_xor_signs_share_one_variable(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        out = b.gate_xor(x, y)
+        vars_before = b.num_vars
+        assert b.gate_xor(-x, -y) == out
+        assert b.gate_xor(-x, y) == -out
+        assert b.gate_xor(x, -y) == -out
+        assert b.gate_xor(y, x) == out
+        assert b.gate_iff(x, y) == -out
+        assert b.num_vars == vars_before
+
+    def test_ite_negative_selector_swaps_branches(self):
+        b = CnfBuilder()
+        c, t, e = b.new_vars(3)
+        out = b.gate_ite(c, e, t)
+        vars_before = b.num_vars
+        assert b.gate_ite(-c, t, e) == out
+        assert b.num_vars == vars_before
+        assert b.gate_ite(c, t, e) != out
+
+    def test_distinct_gate_kinds_do_not_collide(self):
+        b = CnfBuilder()
+        x, y = b.new_vars(2)
+        outs = {b.gate_and([x, y]), b.gate_xor(x, y), b.gate_ite(x, y, -y)}
+        assert len({abs(o) for o in outs}) == 3

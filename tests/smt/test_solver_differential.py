@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from repro.smt import terms as T
 from repro.smt.brute import brute_check_sat, brute_exists_forall
 from repro.smt.eval import evaluate
-from repro.smt.solver import check_sat, solve_exists_forall
+from repro.smt.solver import (IncrementalSession, check_sat, model_evaluates,
+                              solve_exists_forall)
 
 WIDTH = 3
 
@@ -62,6 +63,21 @@ def test_check_sat_agrees_with_brute(formula):
     if result.is_sat():
         model = {v: result.model.get(v, 0) for v in T.free_vars(formula)}
         assert evaluate(formula, model) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(bool_terms(), min_size=2, max_size=5))
+def test_session_stream_agrees_with_brute(formulas):
+    """One session decides a stream of formulas in order.  Its builder
+    shares gates across the queries, so each verdict must still match
+    brute force and each model must satisfy its own formula."""
+    session = IncrementalSession()
+    for formula in formulas:
+        expected, _ = brute_check_sat(formula)
+        result = session.check(formula)
+        assert result.status == expected
+        if result.is_sat():
+            assert model_evaluates(formula, result.model)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,8 @@ We time (a) a typical bitwise transformation and (b) a multiplication
 transformation across growing widths.  Expected shape: the bitwise
 query scales gently; the nsw-multiply query grows much faster with
 width — the same pathology the paper reports, reproduced in miniature.
+(c) A multiplication reassociation stays flat up to 16 bits, because
+the query simplifier reduces it to a syntactic identity first.
 """
 
 from __future__ import annotations
@@ -37,22 +39,38 @@ HARD = """
 %r = mul %x, %s
 """
 
+# MulDivRem:mul-const-reassoc: the simplifier's associative-commutative
+# normal form interns both sides to one term, so this mul rule verifies
+# without a multiplier circuit in SAT at any width
+REASSOC = """
+%a = mul %x, C1
+%r = mul %a, C2
+=>
+%r = mul %x, C1*C2
+"""
+
 # w=5 already takes tens of seconds for the multiplier query with the
 # pure-Python solver; the paper saw the same wall at 20-30 bits with Z3
 WIDTHS = (3, 4, 5)
+REASSOC_WIDTHS = (3, 4, 5, 8, 16)
+
+
+def _time_verify(label, text, width):
+    config = Config(max_width=width, prefer_widths=(width,),
+                    max_type_assignments=1)
+    t = parse_transformation(text, label)
+    start = time.perf_counter()
+    result = verify(t, config)
+    return label, width, time.perf_counter() - start, result.status
 
 
 def run_scaling():
     rows = []
     for width in WIDTHS:
-        config = Config(max_width=width, prefer_widths=(width,),
-                        max_type_assignments=1)
         for label, text in (("xor-chain", EASY), ("mul-nsw", HARD)):
-            t = parse_transformation(text, label)
-            start = time.perf_counter()
-            result = verify(t, config)
-            elapsed = time.perf_counter() - start
-            rows.append((label, width, elapsed, result.status))
+            rows.append(_time_verify(label, text, width))
+    for width in REASSOC_WIDTHS:
+        rows.append(_time_verify("mul-reassoc", REASSOC, width))
     return rows
 
 
@@ -65,11 +83,11 @@ def test_verify_scaling(benchmark, report):
     report("formulas blow up at larger widths (hours at 64 bits),")
     report("worked around by limiting operand widths")
     report("")
-    report("%-10s %6s %10s %8s" % ("opt", "width", "seconds", "status"))
+    report("%-11s %6s %10s %8s" % ("opt", "width", "seconds", "status"))
     report("-" * 40)
     times = {}
     for label, width, elapsed, status in rows:
-        report("%-10s %6d %10.3f %8s" % (label, width, elapsed, status))
+        report("%-11s %6d %10.3f %8s" % (label, width, elapsed, status))
         times[(label, width)] = elapsed
         assert status == "valid", (label, width, status)
 
@@ -82,6 +100,7 @@ def test_verify_scaling(benchmark, report):
     report("")
     report("growth %d->%d bits: xor-chain x%.1f, mul-nsw x%.1f"
            % (WIDTHS[0], WIDTHS[-1], easy_growth, hard_growth))
-    report("shape: multiplication queries grow much faster with width")
+    report("shape: multiplication queries grow much faster with width;")
+    report("mul-reassoc stays flat: AC normal form, no multiplier in SAT")
 
     assert hard_growth > easy_growth

@@ -7,8 +7,22 @@ whole verification conditions, e.g.
 
 * ``ite`` fusion: ``ite(c, f(x), f(y)) → f(ite(c, x, y))`` for unary f;
 * comparison folding against ``ite`` arms with constant branches;
-* xor/and/or chains re-associated so constants meet and fold;
+* associative-commutative normal form (below);
 * double arithmetic negation and subtraction normalization.
+
+The AC normal form flattens every bvadd/bvmul/bvand/bvor/bvxor chain
+into its leaves, orders the non-constant leaves by their content key
+(never ``id()``, see the note in :mod:`repro.smt.terms`), folds all
+constants into one trailing constant and rebuilds the chain
+left-associated through the smart constructors.  So ``(x*C1)*C2`` and
+``x*(C1*C2)`` intern to one node, the refinement ``eq`` between them
+folds to true, and SAT never has to rediscover associativity one bit
+at a time.  The flatten stops at ``AC_LEAF_CAP`` leaves and leaves a
+longer chain as it is: flattening walks the chain as a tree, so a
+chain node shared by both operands is counted once per use, and
+without the cap a deeply shared chain such as 24 levels of
+``bvmul(t, t)`` would flatten to 2**24 leaves.  There is no
+distribution and no coefficient collection (``x + x`` stays).
 
 All rules are proven semantics-preserving by the property tests in
 ``tests/smt/test_simplify.py``, which compare against the evaluator over
@@ -23,7 +37,8 @@ the DAG size, however deeply the query shares sub-terms.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from collections import Counter
+from typing import Dict, List, Optional
 
 from . import terms as T
 from .terms import Term
@@ -65,25 +80,85 @@ def _rule_eq_ite_const(t: Term) -> Optional[Term]:
     return None
 
 
-def _rule_reassoc_const(t: Term) -> Optional[Term]:
-    """(op (op x k1) k2) -> (op x (k1 op k2)) for assoc-commutative ops."""
-    builders = {
-        T.OP_BVADD: T.bvadd,
-        T.OP_BVMUL: T.bvmul,
-        T.OP_BVAND: T.bvand,
-        T.OP_BVOR: T.bvor,
-        T.OP_BVXOR: T.bvxor,
-    }
-    build = builders.get(t.op)
+#: assoc-commutative ops and the smart constructor that rebuilds each
+_AC_BUILDERS = {
+    T.OP_BVADD: T.bvadd,
+    T.OP_BVMUL: T.bvmul,
+    T.OP_BVAND: T.bvand,
+    T.OP_BVOR: T.bvor,
+    T.OP_BVXOR: T.bvxor,
+}
+
+#: most leaves an AC chain may flatten to; a longer chain is left as it is
+AC_LEAF_CAP = 16
+
+
+def _ac_leaves(t: Term, op: str) -> Optional[List[Term]]:
+    """The leaves of the *op* chain under *t*, or None past the cap.
+
+    The chain is walked as a tree, so a shared chain node contributes its
+    leaves once per use; the cap bounds that duplication.  A tree with L
+    leaves has 2L - 1 nodes, so stopping after ``2 * AC_LEAF_CAP`` nodes
+    keeps every chain of at most AC_LEAF_CAP leaves.  Under bvxor a
+    ``bvnot a`` leaf is read as ``a ^ -1``.
+    """
+    leaves: List[Term] = []
+    stack = [t]
+    budget = 2 * AC_LEAF_CAP
+    while stack:
+        budget -= 1
+        if budget < 0:
+            return None
+        n = stack.pop()
+        if n.op == op:
+            stack.extend(n.args)
+        elif n.op == T.OP_BVNOT and op == T.OP_BVXOR:
+            stack.append(n.args[0])
+            leaves.append(T.bv_const(-1, n.width))
+        else:
+            leaves.append(n)
+    return leaves
+
+
+def _rule_ac_normal_form(t: Term) -> Optional[Term]:
+    """Canonical form of a bvadd/bvmul/bvand/bvor/bvxor chain.
+
+    The non-constant leaves are ordered by content key (``x & x`` and
+    ``x | x`` keep one copy, ``x ^ x`` cancels), the constants fold into
+    one trailing constant, and the chain is rebuilt left-associated.
+    Every association and permutation of the same leaves therefore
+    interns to one node: ``(x*C1)*C2`` and ``x*(C1*C2)`` meet.  A
+    ``bvnot`` over a bvxor chain is the chain with one more leaf, -1.
+    """
+    op = t.op
+    if op == T.OP_BVNOT and t.args[0].op == T.OP_BVXOR:
+        op = T.OP_BVXOR
+    build = _AC_BUILDERS.get(op)
     if build is None:
         return None
-    a, b = t.args
-    if b.op != T.OP_BVCONST or a.op != t.op:
+    leaves = _ac_leaves(t, op)
+    if leaves is None:
         return None
-    x, k1 = a.args
-    if k1.op != T.OP_BVCONST:
-        return None
-    return build(x, build(k1, b))
+    const = None
+    others = []
+    for leaf in leaves:
+        if leaf.op == T.OP_BVCONST:
+            const = leaf if const is None else build(const, leaf)
+        else:
+            others.append(leaf)
+    others.sort(key=lambda l: l._ckey)
+    if op == T.OP_BVXOR:
+        others = [leaf for leaf, n in Counter(others).items() if n % 2]
+    elif op in (T.OP_BVAND, T.OP_BVOR):
+        others = list(dict.fromkeys(others))
+    if const is not None:
+        others.append(const)
+    if not others:  # every xor leaf cancelled
+        return T.bv_const(0, t.width)
+    acc = others[0]
+    for leaf in others[1:]:
+        acc = build(acc, leaf)
+    return acc
 
 
 def _rule_sub_to_add_const(t: Term) -> Optional[Term]:
@@ -112,23 +187,12 @@ def _rule_not_of_cmp(t: Term) -> Optional[Term]:
     return flip(inner.args[1], inner.args[0])
 
 
-def _rule_xor_fold_not(t: Term) -> Optional[Term]:
-    """(bvxor (bvnot x) k) -> (bvxor x ~k): melts nots into constants."""
-    if t.op != T.OP_BVXOR:
-        return None
-    a, b = t.args
-    if a.op == T.OP_BVNOT and b.op == T.OP_BVCONST:
-        return T.bvxor(a.args[0], T.bv_const(~b.data, b.width))
-    return None
-
-
 _RULES = (
     _rule_ite_fuse_unary,
     _rule_eq_ite_const,
-    _rule_reassoc_const,
+    _rule_ac_normal_form,
     _rule_sub_to_add_const,
     _rule_not_of_cmp,
-    _rule_xor_fold_not,
 )
 
 

@@ -142,6 +142,117 @@ def test_simplify_never_grows_much(term):
     assert after <= before + 2  # rules may introduce one wrapper node
 
 
+_AC_OPS = [T.bvadd, T.bvmul, T.bvand, T.bvor, T.bvxor]
+
+
+@st.composite
+def ac_terms(draw, leaves, width, depth=3):
+    """A term over the five AC ops whose leaves are *leaves* or constants."""
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return T.bv_const(draw(st.integers(0, (1 << width) - 1)), width)
+        return draw(st.sampled_from(leaves))
+    op = draw(st.sampled_from(_AC_OPS))
+    return op(draw(ac_terms(leaves, width, depth - 1)),
+              draw(ac_terms(leaves, width, depth - 1)))
+
+
+@st.composite
+def ac_cases(draw):
+    width = draw(st.integers(1, 4))
+    names = "xyz"[:draw(st.integers(2, 3))]
+    leaves = [T.bv_var(n, width) for n in names]
+    return draw(ac_terms(leaves, width))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ac_cases())
+def test_ac_normal_form_preserves_semantics(term):
+    assert_equivalent(term)
+
+
+def associations(op, leaves):
+    """Every way to parenthesize *leaves* (in this order) under *op*."""
+    if len(leaves) == 1:
+        yield leaves[0]
+        return
+    for cut in range(1, len(leaves)):
+        for lhs in associations(op, leaves[:cut]):
+            for rhs in associations(op, leaves[cut:]):
+                yield op(lhs, rhs)
+
+
+@st.composite
+def ac_leaf_lists(draw):
+    """An AC op and 2-4 leaves at one width: variables (repeats allowed),
+    constants and a foreign-op leaf that the chain must not enter."""
+    width = draw(st.integers(1, 4))
+    x, y, z = (T.bv_var(n, width) for n in "xyz")
+    op = draw(st.sampled_from(_AC_OPS))
+    pool = st.one_of(
+        st.sampled_from([x, y, z, T.bvnot(x), T.bvlshr(y, z)]),
+        st.integers(0, (1 << width) - 1).map(
+            lambda v: T.bv_const(v, width)),
+    )
+    return op, draw(st.lists(pool, min_size=2, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ac_leaf_lists())
+def test_ac_normal_form_is_canonical(case):
+    op, leaves = case
+    forms = {simplify(t) for perm in itertools.permutations(leaves)
+             for t in associations(op, list(perm))}
+    assert len(forms) == 1, sorted(str(f) for f in forms)
+
+
+class TestACNormalForm:
+    C1 = T.bv_var("C1", WIDTH)
+    C2 = T.bv_var("C2", WIDTH)
+
+    def test_symbolic_constants_meet(self):
+        lhs = T.bvmul(T.bvmul(X, self.C1), self.C2)
+        rhs = T.bvmul(X, T.bvmul(self.C1, self.C2))
+        assert lhs is not rhs
+        assert simplify(lhs) is simplify(rhs)
+        assert simplify(T.eq(lhs, rhs)) is T.TRUE
+
+    def test_constants_fold_into_one_trailing_constant(self):
+        def k(v):
+            return T.bv_const(v, WIDTH)
+
+        t = T.bvadd(T.bvadd(k(3), X), T.bvadd(T.bvadd(Y, k(4)), k(5)))
+        s = simplify(t)
+        assert s.op == T.OP_BVADD and s.args[1] is k(12)
+        assert s.args[0] is T.bvadd(X, Y)
+
+    def test_idempotent_ops_deduplicate(self):
+        assert simplify(T.bvand(T.bvand(X, Y), X)) is T.bvand(X, Y)
+        assert simplify(T.bvor(X, T.bvor(Y, X))) is T.bvor(X, Y)
+        assert simplify(T.bvxor(T.bvxor(X, Y), X)) is Y
+
+    def test_xor_absorbs_not(self):
+        t = T.bvxor(T.bvnot(X), Y)
+        assert simplify(t) is T.bvnot(T.bvxor(X, Y))
+        assert simplify(T.bvxor(X, T.bvnot(Y))) is simplify(t)
+
+    def test_past_the_cap_the_chain_is_left_alone(self):
+        from repro.smt.simplify import AC_LEAF_CAP
+
+        leaves = [T.bv_var("v%d" % i, WIDTH) for i in range(AC_LEAF_CAP + 1)]
+        right = leaves[-1]
+        for leaf in reversed(leaves[1:-1]):
+            right = T.bvadd(leaf, right)
+        left = leaves[1]
+        for leaf in leaves[2:]:
+            left = T.bvadd(left, leaf)
+        # AC_LEAF_CAP leaves: both shapes meet
+        assert simplify(right) is simplify(left)
+        # one leaf more: the top node stays, the chain under it is normal
+        top = T.bvadd(leaves[0], right)
+        assert simplify(top) is T.bvadd(leaves[0], simplify(right))
+
+
 class TestLinearPass:
     """Each pass visits each distinct DAG node once, however deeply
     sub-terms are shared.  A memo keyed on the *rewritten* node misses
@@ -151,12 +262,12 @@ class TestLinearPass:
     DEPTH = 24
 
     @staticmethod
-    def shared_dag(depth):
+    def shared_dag(depth, ops=(T.bvmul,)):
         # the bottom node rewrites (bvsub x, k -> bvadd x, -k), so every
         # level above it changes too; each level uses the one below twice
         t = T.bvsub(X, T.bv_const(3, WIDTH))
-        for _ in range(depth):
-            t = T.bvmul(t, t)
+        for level in range(depth):
+            t = ops[level % len(ops)](t, t)
         return t
 
     @pytest.fixture
@@ -178,10 +289,11 @@ class TestLinearPass:
         monkeypatch.setattr(S, "_RULES", tuple(counted(r) for r in S._RULES))
         return counter
 
-    def test_rule_visits_linear_in_dag_size(self, visits):
+    @staticmethod
+    def assert_linear_passes(visits, original):
         from repro.smt.simplify import _one_pass
 
-        original = term = self.shared_dag(self.DEPTH)
+        term = original
         for _ in range(4):
             visits["n"] = 0
             visits["budget"] = visits["rules"] * T.term_size(term)
@@ -192,6 +304,20 @@ class TestLinearPass:
         else:
             pytest.fail("no fixpoint within four passes")
         assert term is not original  # the bottom rewrite really fired
+
+    def test_rule_visits_linear_in_dag_size(self, visits):
+        self.assert_linear_passes(visits, self.shared_dag(self.DEPTH))
+
+    def test_add_dag_rule_visits_linear(self, visits):
+        # one bvadd chain with 2**DEPTH leaves: the AC flatten walks it
+        # as a tree and only its leaf cap keeps that from blowing up
+        self.assert_linear_passes(
+            visits, self.shared_dag(self.DEPTH, (T.bvadd,)))
+
+    def test_add_mul_dag_rule_visits_linear(self, visits):
+        # every chain has two leaves: the flatten stops at the op change
+        self.assert_linear_passes(
+            visits, self.shared_dag(self.DEPTH, (T.bvadd, T.bvmul)))
 
     def test_idempotent_on_shared_dag(self, visits):
         term = self.shared_dag(self.DEPTH)

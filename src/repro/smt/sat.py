@@ -7,7 +7,7 @@ solver:
 
 * two-watched-literal propagation;
 * first-UIP conflict analysis with basic clause minimization;
-* VSIDS variable activity with a lazy max-heap and phase saving;
+* VSIDS variable activity with an indexed max-heap and phase saving;
 * Luby-sequence restarts;
 * learned-clause reduction driven by LBD (glue) and activity.
 
@@ -24,16 +24,29 @@ of assumptions the proof used is available as
 :attr:`SatSolver.failed_assumptions` (the assumption-level analogue of
 an unsat core).
 
-The implementation favours clarity over raw speed but avoids the
-asymptotic traps (no O(clauses) scans during propagation, no O(vars)
-scans per decision).
+Two data-structure contracts keep the inner loops cheap without
+changing what the search does:
+
+* The decision heap is MiniSat's order heap: a binary max-heap of
+  variable indices plus a position array (``-1`` when absent), ordered
+  by activity descending, then variable index ascending.  Every
+  unassigned variable is in the heap; assigned ones may linger until
+  :meth:`SatSolver._decide` pops them.  So a decision is always the
+  unassigned variable maximising ``(activity, -v)``, a bump is an
+  in-place sift-up, and a backtrack inserts only variables that were
+  popped.
+* ``lval[lit]`` is the value of a *literal*: 1 true, 0 false, -1
+  unassigned.  Negative literals index from the end of the list
+  (``lval[-v]`` is the value of ``¬v``), so a literal test is one
+  subscript; for a variable ``v``, ``lval[v]`` is its value.
+
+Watch lists are compacted in place during propagation, keeping their
+order.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
-from heapq import heappush
 from typing import Dict, List, Optional, Sequence
 
 SAT = "sat"
@@ -42,7 +55,14 @@ UNKNOWN = "unknown"
 
 
 class Clause:
-    """A clause plus the metadata used by the reduction heuristic."""
+    """A clause plus the metadata used by the reduction heuristic.
+
+    Slots 0 and 1 of ``lits`` hold the watched literals.  The literals
+    stay a plain :class:`list` behind a slot rather than making the
+    clause a list subclass: CPython's specialised subscript paths take
+    exact lists only, and the propagation loop subscripts ``lits``
+    several times per visit.
+    """
 
     __slots__ = ("lits", "learned", "lbd", "activity")
 
@@ -109,13 +129,13 @@ class SatSolver:
                  deadline: Optional[float] = None):
         self.conflict_limit = conflict_limit
         self.deadline = deadline
-        self.num_vars = num_vars
+        self.num_vars = 0
         self.clauses: List[Clause] = []
         self.learned: List[Clause] = []
-        # assign[v]: 1 true, 0 false, -1 unassigned
-        self.assign: List[int] = [-1] * (num_vars + 1)
-        self.level: List[int] = [0] * (num_vars + 1)
-        self.reason: List[Optional[Clause]] = [None] * (num_vars + 1)
+        # literal-indexed values, see the module docstring
+        self.lval: List[int] = [-1]
+        self.level: List[int] = [0]
+        self.reason: List[Optional[Clause]] = [None]
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.prop_head = 0
@@ -125,12 +145,15 @@ class SatSolver:
         # Tseitin encodings are dominated by binary gate clauses, so
         # this fast path carries most of the propagation load.
         self.bin_watches: Dict[int, list] = {}
-        self.activity: List[float] = [0.0] * (num_vars + 1)
+        self.activity: List[float] = [0.0]
         self.var_inc = 1.0
         self.var_decay = 0.95
         self.cla_inc = 1.0
         self.cla_decay = 0.999
-        self.phase: List[int] = [0] * (num_vars + 1)
+        self.phase: List[int] = [0]
+        #: the order heap (variables) and each variable's slot in it
+        self._heap: List[int] = []
+        self._pos: List[int] = [-1]
         self.ok = True
         self.conflicts = 0
         self.decisions = 0
@@ -138,13 +161,12 @@ class SatSolver:
         self.solves = 0
         #: assumption literals implicated in the last assumption-UNSAT
         self.failed_assumptions: set = set()
-        #: assignment snapshot of the last SAT answer (kept across the
+        #: variable values of the last SAT answer (kept across the
         #: end-of-solve backtrack so models survive incremental reuse)
         self._model: Optional[List[int]] = None
         #: root-trail length at the last :meth:`_simplify` sweep
         self._simplified_at = 0
-        self._heap: List = [(-0.0, v) for v in range(1, num_vars + 1)]
-        heapq.heapify(self._heap)
+        self.ensure_num_vars(num_vars)
 
     # ------------------------------------------------------------------
     # Variable / clause management
@@ -152,20 +174,32 @@ class SatSolver:
 
     def new_var(self) -> int:
         """Allocate one fresh variable; returns its index."""
-        self.num_vars += 1
-        v = self.num_vars
-        self.assign.append(-1)
-        self.level.append(0)
-        self.reason.append(None)
-        self.activity.append(0.0)
-        self.phase.append(0)
-        heapq.heappush(self._heap, (-0.0, v))
-        return v
+        self.ensure_num_vars(self.num_vars + 1)
+        return self.num_vars
 
     def ensure_num_vars(self, n: int) -> None:
-        """Grow the variable space to at least *n* variables."""
-        while self.num_vars < n:
-            self.new_var()
+        """Grow the variable space to at least *n* variables.
+
+        A fresh variable has activity 0.0 and the largest index, so it
+        is the least element of the heap order: appending it keeps the
+        heap valid without a sift.
+        """
+        old = self.num_vars
+        k = n - old
+        if k <= 0:
+            return
+        self.num_vars = n
+        # the new positive literals go after the old ones, the new
+        # negative literals before the old negatives (which keep their
+        # offsets from the end)
+        self.lval[old + 1:old + 1] = [-1] * (2 * k)
+        self.level.extend([0] * k)
+        self.reason.extend([None] * k)
+        self.activity.extend([0.0] * k)
+        self.phase.extend([0] * k)
+        heap = self._heap
+        self._pos.extend(range(len(heap), len(heap) + k))
+        heap.extend(range(old + 1, n + 1))
 
     def _watch(self, lit: int, clause: Clause) -> None:
         self.watches.setdefault(lit, []).append(clause)
@@ -210,15 +244,14 @@ class SatSolver:
                 self._backtrack(0)
             # simplify against the root assignment: satisfied clauses
             # are dropped, falsified literals removed
-            assign = self.assign
+            lval = self.lval
             live = []
             for lit in out:
-                val = assign[lit if lit > 0 else -lit]
-                if val >= 0:
-                    if (val == 1) == (lit > 0):
-                        return
-                    continue
-                live.append(lit)
+                val = lval[lit]
+                if val == 1:
+                    return
+                if val < 0:
+                    live.append(lit)
             out = live
             if not out:
                 self.ok = False
@@ -235,21 +268,14 @@ class SatSolver:
     # Assignment / propagation
     # ------------------------------------------------------------------
 
-    def _value(self, lit: int) -> int:
-        """1 if lit is true, 0 if false, -1 if unassigned."""
-        v = self.assign[lit if lit > 0 else -lit]
-        if v < 0:
-            return -1
-        return v if lit > 0 else 1 - v
-
     def _enqueue(self, lit: int, reason: Optional[Clause]) -> bool:
-        val = self._value(lit)
-        if val == 0:
-            return False
-        if val == 1:
-            return True
-        v = abs(lit)
-        self.assign[v] = 1 if lit > 0 else 0
+        lval = self.lval
+        val = lval[lit]
+        if val >= 0:
+            return val == 1
+        lval[lit] = 1
+        lval[-lit] = 0
+        v = lit if lit > 0 else -lit
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -259,36 +285,37 @@ class SatSolver:
         """Unit propagation; returns a conflicting clause or None.
 
         This is the solver's inner loop (the profile is dominated by it),
-        so attribute lookups are hoisted into locals and the
-        :meth:`_value` / :meth:`_enqueue` helpers are inlined.  The
-        behaviour is bit-for-bit identical to the straightforward
-        formulation those helpers express.
+        so attribute lookups are hoisted into locals and
+        :meth:`_enqueue` is inlined.  A long clause whose watch moves is
+        appended to the new literal's list; the others are kept in
+        order by compacting the falsified literal's list in place.
         """
         trail = self.trail
         watches = self.watches
         bin_watches = self.bin_watches
-        assign = self.assign
+        lval = self.lval
         level = self.level
         reason = self.reason
         cur_level = len(self.trail_lim)
-        props = 0
+        head = self.prop_head
+        start = head
         conflict: Optional[Clause] = None
-        while self.prop_head < len(trail):
-            lit = trail[self.prop_head]
-            self.prop_head += 1
-            props += 1
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
             neg = -lit
             bws = bin_watches.get(neg)
             if bws:
                 for other, clause in bws:
-                    ov = assign[other if other > 0 else -other]
+                    ov = lval[other]
                     if ov < 0:
+                        lval[other] = 1
+                        lval[-other] = 0
                         v = other if other > 0 else -other
-                        assign[v] = 1 if other > 0 else 0
                         level[v] = cur_level
                         reason[v] = clause
                         trail.append(other)
-                    elif (ov == 1) != (other > 0):
+                    elif ov == 0:
                         conflict = clause
                         break
                 if conflict is not None:
@@ -296,28 +323,25 @@ class SatSolver:
             watchers = watches.get(neg)
             if not watchers:
                 continue
-            new_watchers: List[Clause] = []
-            append_watcher = new_watchers.append
-            i = 0
+            i = j = 0
             n = len(watchers)
             while i < n:
                 clause = watchers[i]
                 i += 1
                 lits = clause.lits
-                if lits[0] == neg:
-                    lits[0] = lits[1]
-                    lits[1] = neg
                 first = lits[0]
+                if first == neg:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = neg
                 # first literal already true: clause is satisfied
-                fv = assign[first if first > 0 else -first]
-                if fv >= 0 and (fv == 1) == (first > 0):
-                    append_watcher(clause)
+                if lval[first] == 1:
+                    watchers[j] = clause
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    val = assign[lk if lk > 0 else -lk]
-                    if val < 0 or (val == 1) == (lk > 0):
+                    if lval[lk] != 0:
                         # non-false literal found: relocate the watch
                         lits[1] = lk
                         lits[k] = neg
@@ -326,27 +350,29 @@ class SatSolver:
                             watches[lk] = [clause]
                         else:
                             wl.append(clause)
-                        moved = True
                         break
-                if moved:
-                    continue
-                append_watcher(clause)
-                if fv < 0:
-                    # unit under the current assignment: enqueue first
-                    v = first if first > 0 else -first
-                    assign[v] = 1 if first > 0 else 0
-                    level[v] = cur_level
-                    reason[v] = clause
-                    trail.append(first)
                 else:
-                    # first is false and no replacement: conflict
-                    conflict = clause
-                    new_watchers.extend(watchers[i:])
-                    break
-            watches[neg] = new_watchers
+                    watchers[j] = clause
+                    j += 1
+                    if lval[first] < 0:
+                        # unit under the current assignment: enqueue first
+                        lval[first] = 1
+                        lval[-first] = 0
+                        v = first if first > 0 else -first
+                        level[v] = cur_level
+                        reason[v] = clause
+                        trail.append(first)
+                    else:
+                        # first is false and no replacement: conflict
+                        conflict = clause
+                        break
+            # drop the relocated slots; on a conflict the unvisited
+            # watchers from i on move down behind the kept ones
+            del watchers[j:i]
             if conflict is not None:
                 break
-        self.propagations += props
+        self.prop_head = head
+        self.propagations += head - start
         return conflict
 
     # ------------------------------------------------------------------
@@ -364,25 +390,53 @@ class SatSolver:
         bug corpus).  Learned clauses are assumption-free consequences
         of the formula, so they stay.
         """
-        self.activity = [0.0] * (self.num_vars + 1)
-        self.phase = [0] * (self.num_vars + 1)
+        n = self.num_vars
+        self.activity = [0.0] * (n + 1)
+        self.phase = [0] * (n + 1)
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self._heap = [(-0.0, v) for v in range(1, self.num_vars + 1)
-                      if self.assign[v] < 0]
-        heapq.heapify(self._heap)
+        # all activities equal: ascending index order is a valid heap
+        lval = self.lval
+        self._heap = [v for v in range(1, n + 1) if lval[v] < 0]
+        self._index_heap()
 
-    def _bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-            self._heap = [(-self.activity[u], u) for u in range(1, self.num_vars + 1)
-                          if self.assign[u] < 0]
-            heapq.heapify(self._heap)
-            return
-        heapq.heappush(self._heap, (-self.activity[v], v))
+    def _index_heap(self) -> None:
+        """Rebuild the position array from the heap, in place (callers
+        may hold a reference to it)."""
+        pos = self._pos
+        pos[:] = [-1] * (self.num_vars + 1)
+        for i, v in enumerate(self._heap):
+            pos[v] = i
+
+    def _rescale_activity(self) -> None:
+        """Scale every activity (and the increment) by 1e-100 in place.
+
+        Underflow may turn distinct activities equal, which the index
+        tie-break then orders, so the heap is re-sorted (a sorted list
+        is a valid heap)."""
+        act = self.activity
+        act[:] = [a * 1e-100 for a in act]
+        self.var_inc *= 1e-100
+        self._heap.sort(key=lambda u: (-act[u], u))
+        self._index_heap()
+
+    def _sift_up(self, i: int, v: int) -> None:
+        """Move *v*, whose activity may have grown, from slot *i* up."""
+        heap = self._heap
+        pos = self._pos
+        act = self.activity
+        a = act[v]
+        while i:
+            p = (i - 1) >> 1
+            u = heap[p]
+            au = act[u]
+            if au > a or (au == a and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = p
+        heap[i] = v
+        pos[v] = i
 
     def _bump_clause(self, c: Clause) -> None:
         c.activity += self.cla_inc
@@ -392,17 +446,41 @@ class SatSolver:
             self.cla_inc *= 1e-20
 
     def _decide(self) -> int:
-        """Pop the most active unassigned variable (lazy heap)."""
-        while self._heap:
-            neg_act, v = heapq.heappop(self._heap)
-            if self.assign[v] < 0 and -neg_act >= self.activity[v] - 1e-12:
-                return v if self.phase[v] else -v
-            if self.assign[v] < 0:
-                # stale activity entry; reinsert with the fresh score
-                heapq.heappush(self._heap, (-self.activity[v], v))
-        # heap exhausted: fall back to a linear scan (stale entries only)
-        for v in range(1, self.num_vars + 1):
-            if self.assign[v] < 0:
+        """Pop variables off the heap until an unassigned one appears;
+        returns its saved-phase literal, or 0 if every variable is
+        assigned."""
+        heap = self._heap
+        pos = self._pos
+        act = self.activity
+        lval = self.lval
+        while heap:
+            v = heap[0]
+            pos[v] = -1
+            last = heap.pop()
+            if heap:
+                # move the last leaf to the root and sift it down
+                n = len(heap)
+                a = act[last]
+                i = 0
+                c = 1
+                while c < n:
+                    cv = heap[c]
+                    ca = act[cv]
+                    r = c + 1
+                    if r < n:
+                        rv = heap[r]
+                        ra = act[rv]
+                        if ra > ca or (ra == ca and rv < cv):
+                            c, cv, ca = r, rv, ra
+                    if a > ca or (a == ca and last < cv):
+                        break
+                    heap[i] = cv
+                    pos[cv] = i
+                    i = c
+                    c = 2 * i + 1
+                heap[i] = last
+                pos[last] = i
+            if lval[v] < 0:
                 return v if self.phase[v] else -v
         return 0
 
@@ -424,6 +502,9 @@ class SatSolver:
         cur_level = len(self.trail_lim)
         trail = self.trail
         levels = self.level
+        act = self.activity
+        pos = self._pos
+        inc = self.var_inc
 
         while True:
             assert clause is not None
@@ -435,7 +516,14 @@ class SatSolver:
                 v = q if q > 0 else -q
                 if v not in seen and levels[v] > 0:
                     seen.add(v)
-                    self._bump_var(v)
+                    # VSIDS bump
+                    a = act[v] + inc
+                    act[v] = a
+                    if a > 1e100:
+                        self._rescale_activity()
+                        inc = self.var_inc
+                    elif pos[v] > 0:
+                        self._sift_up(pos[v], v)
                     if levels[v] >= cur_level:
                         counter += 1
                     else:
@@ -462,7 +550,7 @@ class SatSolver:
                 return False
             for p in r.lits:
                 pv = abs(p)
-                if pv == abs(q) or self.level[pv] == 0:
+                if pv == abs(q) or levels[pv] == 0:
                     continue
                 if pv not in seen_vars:
                     return False
@@ -475,10 +563,10 @@ class SatSolver:
         else:
             max_i = 1
             for k in range(2, len(learnt)):
-                if self.level[abs(learnt[k])] > self.level[abs(learnt[max_i])]:
+                if levels[abs(learnt[k])] > levels[abs(learnt[max_i])]:
                     max_i = k
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = self.level[abs(learnt[1])]
+            bt_level = levels[abs(learnt[1])]
         return learnt, bt_level
 
     def _lbd(self, lits: Sequence[int]) -> int:
@@ -489,22 +577,30 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _backtrack(self, level: int) -> None:
+        """Undo every level above *level*, saving phases and putting
+        popped variables back into the heap."""
         if len(self.trail_lim) <= level:
             return
         trail = self.trail
-        assign = self.assign
+        lval = self.lval
         phase = self.phase
-        reason = self.reason
-        activity = self.activity
+        pos = self._pos
         heap = self._heap
+        sift_up = self._sift_up
         limit = self.trail_lim[level]
         for idx in range(len(trail) - 1, limit - 1, -1):
             lit = trail[idx]
-            v = lit if lit > 0 else -lit
-            phase[v] = assign[v]
-            assign[v] = -1
-            reason[v] = None
-            heappush(heap, (-activity[v], v))
+            lval[lit] = -1
+            lval[-lit] = -1
+            if lit > 0:
+                phase[lit] = 1
+                v = lit
+            else:
+                v = -lit
+                phase[v] = 0
+            if pos[v] < 0:
+                heap.append(v)
+                sift_up(len(heap) - 1, v)
         del trail[limit:]
         del self.trail_lim[level:]
         self.prop_head = limit
@@ -519,11 +615,11 @@ class SatSolver:
         guard clauses of retired activation literals, which would
         otherwise pollute the watch lists of every shared variable for
         the rest of the session — and root-false literals are stripped
-        from the tail of surviving clauses.  Sound because root
-        assignments are never undone; it changes only the order in which
-        watchers are visited, never a verdict.
+        from the tail of surviving clauses, in place.  Sound because
+        root assignments are never undone; it changes only the order in
+        which watchers are visited, never a verdict.
         """
-        assign = self.assign
+        lval = self.lval
         dropped = set()
         for attr in ("clauses", "learned"):
             kept = []
@@ -531,8 +627,7 @@ class SatSolver:
                 lits = clause.lits
                 satisfied = False
                 for l in lits:
-                    val = assign[l if l > 0 else -l]
-                    if val >= 0 and (val == 1) == (l > 0):
+                    if lval[l] == 1:
                         satisfied = True
                         break
                 if satisfied:
@@ -541,10 +636,9 @@ class SatSolver:
                 if len(lits) > 2:
                     # watched literals (slots 0/1) are never false here;
                     # the tail may carry root-falsified literals
-                    live = [l for l in lits[2:]
-                            if assign[l if l > 0 else -l] < 0]
+                    live = [l for l in lits[2:] if lval[l] < 0]
                     if len(live) != len(lits) - 2:
-                        clause.lits = lits[:2] + live
+                        lits[2:] = live
                 kept.append(clause)
             setattr(self, attr, kept)
         if dropped:
@@ -687,7 +781,7 @@ class SatSolver:
                 if len(self.trail_lim) < len(assumptions):
                     # assumptions are the forced first decisions
                     p = assumptions[len(self.trail_lim)]
-                    val = self._value(p)
+                    val = self.lval[p]
                     if val == 1:
                         # already implied: open an empty level so the
                         # remaining assumptions keep their positions
@@ -703,7 +797,7 @@ class SatSolver:
                     continue
                 lit = self._decide()
                 if lit == 0:
-                    self._model = self.assign[:]
+                    self._model = self.lval[:self.num_vars + 1]
                     self._backtrack(0)
                     return SAT
                 self.decisions += 1
@@ -718,7 +812,7 @@ class SatSolver:
         """Value of *var* in the last SAT model (unassigned -> False)."""
         if self._model is not None:
             return self._model[var] == 1
-        return self.assign[var] == 1
+        return self.lval[var] == 1
 
 
 def solve_cnf(num_vars: int, clauses, conflict_limit: Optional[int] = None,

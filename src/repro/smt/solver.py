@@ -49,7 +49,9 @@ class Result:
         status: "sat", "unsat" or "unknown".
         model: for "sat", a map from variable terms to integer values
             (Booleans are 0/1, bitvectors unsigned).
-        stats: solver statistics (conflicts, decisions, cegis rounds).
+        stats: solver statistics: the conflicts, decisions and
+            propagations of the call that produced the result, or the
+            CEGIS rounds of an exists-forall answer.
     """
 
     def __init__(self, status: str, model: Optional[Dict[Term, int]] = None,
@@ -184,17 +186,28 @@ class IncrementalSession:
             self.solver.scrub_heuristics()
         self.checks += 1
         solver = self.solver
+        before = _counters(solver)
         status = solver.solve(assumptions=assumptions,
                               conflict_limit=conflict_limit,
                               deadline=deadline)
-        if status == SAT:
-            model = self.blaster.extract_model(solver)
-            stats = {"conflicts": solver.conflicts,
-                     "decisions": solver.decisions}
-            return Result(SAT, model, stats)
-        if status == UNSAT:
-            return Result(UNSAT, stats={"conflicts": solver.conflicts})
-        return Result(UNKNOWN)
+        return _result(status, self.blaster, solver, before)
+
+
+def _counters(solver: SatSolver) -> Tuple[int, int, int]:
+    return solver.conflicts, solver.decisions, solver.propagations
+
+
+def _result(status: str, blaster: BitBlaster, solver: SatSolver,
+            before: Tuple[int, int, int]) -> Result:
+    """Wrap one :meth:`SatSolver.solve` call's answer.  ``stats`` are
+    this call's counts (the solver's totals minus *before*), not the
+    totals of a session's long-lived solver."""
+    stats = {name: now - then for name, now, then in
+             zip(("conflicts", "decisions", "propagations"),
+                 _counters(solver), before)}
+    if status == SAT:
+        return Result(SAT, blaster.extract_model(solver), stats)
+    return Result(status, stats=stats)
 
 
 def check_sat(formula: Term, conflict_limit: Optional[int] = None,
@@ -228,14 +241,7 @@ def check_sat(formula: Term, conflict_limit: Optional[int] = None,
                        deadline=deadline)
     for clause in bb.builder.clauses:
         solver.add_clause(clause)
-    status = solver.solve()
-    if status == SAT:
-        model = bb.extract_model(solver)
-        stats = {"conflicts": solver.conflicts, "decisions": solver.decisions}
-        return Result(SAT, model, stats)
-    if status == UNSAT:
-        return Result(UNSAT, stats={"conflicts": solver.conflicts})
-    return Result(UNKNOWN)
+    return _result(solver.solve(), bb, solver, (0, 0, 0))
 
 
 def complete_model(model: Dict[Term, int], variables: Iterable[Term]) -> Dict[Term, int]:

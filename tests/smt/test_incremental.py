@@ -221,6 +221,24 @@ class TestSessionQueries:
             == (fresh.solver.decisions, fresh.solver.conflicts)
         assert a.model == b.model
 
+    def test_stats_are_per_call(self):
+        """``Result.stats`` counts one check's work, not the session
+        solver's running totals: consecutive checks sum to the totals."""
+        x = T.bv_var("x", 4)
+        y = T.bv_var("y", 4)
+        session = IncrementalSession()
+        first = session.check(T.eq(T.bvmul(x, x), T.bv_const(9, 4)))
+        second = session.check(T.and_(T.eq(T.bvmul(x, y), T.bv_const(7, 4)),
+                                      T.ult(y, x)))
+        assert first.is_sat() and second.is_sat()
+        assert first.stats["conflicts"] > 0
+        solver = session.solver
+        for name in ("conflicts", "decisions", "propagations"):
+            assert first.stats[name] + second.stats[name] \
+                == getattr(solver, name)
+            assert second.stats[name] < getattr(solver, name)
+
+
 
 class TestCegisThroughCheckAssignment:
     """check_assignment must reach the assumption-based CEGIS stream.

@@ -8,9 +8,11 @@ in ``repro.opt.analysis``, every transfer function here is *verified*
 against the SMT semantics by :mod:`repro.absint.selfcheck`.
 
 The tier is a **must-analysis**: it answers "provably yes" or
-"unknown", never "no".  That is what makes the engine fast path
-(:func:`prove_refinement` short-circuiting a SAT dispatch) verdict
-preserving by construction — see DESIGN.md.
+"unknown", never "no".  The verifier does not consult it — every
+refinement check goes to the solver — but lint reports the rules
+:func:`prove_refinement` discharges alone, discover drops candidates
+:func:`refute_candidate` refutes with a replayed witness, and
+``repro.opt.analysis`` reuses the transfers; see DESIGN.md.
 """
 
 from .domains import AbsValue, KnownBits, SRange, URange

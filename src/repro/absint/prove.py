@@ -8,9 +8,9 @@ into answers the verification pipeline can act on *without* a solver:
   same three per-name obligations the encoder emits (target
   definedness, target poison-freedom, value equality) purely
   abstractly.  ``True`` means the target refines the source for this
-  type assignment; ``False`` means *unknown* and the caller falls
-  through to SAT.  Because the analysis only ever short-circuits the
-  "valid" outcome, verdicts are identical with the tier on or off.
+  type assignment; ``False`` means *unknown*.  Lint's
+  ``provable-by-absint`` pass reports the rules it proves at every
+  assignment; the verifier itself always asks the solver.
 * :func:`refuted_pre_atoms` — precondition atoms that are abstractly
   always-false given only the structure of the rule, each validated
   with a concrete witness before being reported (lint tier).
@@ -579,11 +579,11 @@ def _flag_sound(op: str, flag: str, a: AbsValue, b: AbsValue) -> bool:
 
 def prove_refinement(t: ast.Transformation, types, config) -> bool:
     """True when the target provably refines the source under this type
-    assignment; False means *unknown* (fall through to the solver).
+    assignment; False means *unknown*.
 
-    A ``True`` here short-circuits exactly the queries
-    :func:`repro.core.refinement.check_assignment` would have proven
-    UNSAT, so enabling the tier cannot change any verdict.
+    A ``True`` here implies :func:`repro.core.refinement.check_assignment`
+    returns "valid" for the same (t, types, config): the obligations
+    proven are exactly the queries it would find UNSAT.
     """
     try:
         ana = Analysis(t, types, config, use_pre=True).run()

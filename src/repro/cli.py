@@ -92,7 +92,6 @@ def _config_from_args(args) -> Config:
         max_type_assignments=args.max_types,
         conflict_limit=args.conflict_limit,
         time_limit=args.time_limit,
-        absint=getattr(args, "absint", True),
     )
 
 
@@ -705,16 +704,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="CDCL conflict budget per SMT query")
     common.add_argument("--time-limit", type=float, default=None,
                         help="wall-clock budget in seconds per refinement job")
-    common.add_argument("--absint", dest="absint", action="store_true",
-                        default=True,
-                        help="pre-prove refinement jobs with the verified "
-                             "abstract-interpretation tier before any SMT "
-                             "dispatch (default; verdicts are identical "
-                             "either way)")
-    common.add_argument("--no-absint", dest="absint", action="store_false",
-                        help="disable the abstract-interpretation fast "
-                             "path (A/B debugging; part of the cache key, "
-                             "so the two modes never share cached results)")
     common.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for batch verification "
                              "(1 = in-process)")

@@ -39,12 +39,6 @@ class Config:
             enumeration oracle (:mod:`repro.smt.brute`) will exhaust;
             one half operand is 16 bits, so the default admits a
             half-precision unary rule plus analysis booleans.
-        absint: run the solver-verified abstract-interpretation tier
-            (:mod:`repro.absint`) before dispatching each refinement
-            check; a must-answer of "refines" short-circuits the SAT
-            queries entirely.  Verdicts are identical either way (the
-            tier only ever proves what the solver would prove), but the
-            knob participates in cache keys so A/B runs stay separate.
     """
 
     def __init__(
@@ -59,7 +53,6 @@ class Config:
         time_limit=None,
         fp_formats=("half", "float", "double"),
         brute_max_bits: int = 22,
-        absint: bool = True,
     ):
         self.max_width = max_width
         self.prefer_widths = tuple(prefer_widths)
@@ -73,7 +66,6 @@ class Config:
         self.time_limit = time_limit
         self.fp_formats = tuple(fp_formats)
         self.brute_max_bits = brute_max_bits
-        self.absint = absint
 
     def to_dict(self) -> dict:
         """All knobs as JSON-serializable plain data.
@@ -93,7 +85,6 @@ class Config:
             "time_limit": self.time_limit,
             "fp_formats": list(self.fp_formats),
             "brute_max_bits": self.brute_max_bits,
-            "absint": self.absint,
         }
 
     @classmethod

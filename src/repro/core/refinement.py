@@ -54,22 +54,18 @@ class CheckOutcome:
 
     ``detail`` carries the human-readable reason for "unsupported";
     ``timed_out`` distinguishes a wall-clock budget expiry from a
-    conflict-budget expiry among "unknown" outcomes.  ``absint_proved``
-    marks a "valid" outcome discharged by the abstract-interpretation
-    tier without any solver query.
+    conflict-budget expiry among "unknown" outcomes.
     """
 
     def __init__(self, status: str, counterexample: Optional[Counterexample] = None,
                  kind: Optional[str] = None, queries: int = 0,
-                 detail: str = "", timed_out: bool = False,
-                 absint_proved: bool = False):
+                 detail: str = "", timed_out: bool = False):
         self.status = status
         self.counterexample = counterexample
         self.kind = kind
         self.queries = queries
         self.detail = detail
         self.timed_out = timed_out
-        self.absint_proved = absint_proved
 
     def to_dict(self) -> dict:
         """JSON-serializable representation (inverse of :meth:`from_dict`)."""
@@ -83,7 +79,6 @@ class CheckOutcome:
             "queries": self.queries,
             "detail": self.detail,
             "timed_out": self.timed_out,
-            "absint_proved": self.absint_proved,
         }
 
     @classmethod
@@ -96,7 +91,6 @@ class CheckOutcome:
             queries=data.get("queries", 0),
             detail=data.get("detail", ""),
             timed_out=data.get("timed_out", False),
-            absint_proved=data.get("absint_proved", False),
         )
 
     def __eq__(self, other) -> bool:
@@ -172,23 +166,7 @@ def check_assignment(
     bit-blast once, later queries add only their goal, and learned
     clauses carry over.  No solver state outlives the call, so the
     outcome is a function of (t, types, config) alone.
-
-    With ``config.absint`` the solver-verified abstract tier runs
-    first; a must-answer of "refines" returns "valid" with zero
-    queries.  The tier is deterministic in (t, types, config), so the
-    outcome of a cached job never depends on which path produced it.
-    The ``engine.absint.prove`` chaos site suppresses the fast path —
-    a forced wrong "unknown" only ever sends more work to the solver,
-    which is the direction verdict parity survives by construction.
     """
-    if config.absint:
-        from .. import chaos
-
-        if chaos.fire("engine.absint.prove", name=t.name) is None:
-            from ..absint.prove import prove_refinement
-
-            if prove_refinement(t, types, config):
-                return CheckOutcome("valid", queries=0, absint_proved=True)
     deadline = (
         time.monotonic() + config.time_limit
         if config.time_limit is not None

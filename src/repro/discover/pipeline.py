@@ -314,7 +314,7 @@ def run_discovery(options: DiscoverOptions,
     # values differ) is certainly invalid — drop it before it costs a
     # solver query.  Only witness-validated refutations drop anything,
     # so a miss here never loses a sound candidate.
-    if config.absint and selected:
+    if selected:
         from ..absint.prove import refute_candidate
 
         kept: List[Candidate] = []

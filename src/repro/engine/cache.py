@@ -62,7 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 ENGINE_SCHEMA_VERSION = 2
 
 #: packages whose source defines the meaning of a verdict
-_SEMANTIC_PACKAGES = ("core", "smt", "typing", "ir", "absint")
+_SEMANTIC_PACKAGES = ("core", "smt", "typing", "ir")
 
 _fingerprint_memo: Optional[str] = None
 

@@ -184,19 +184,17 @@ class SchedulerStats:
     """
 
     __slots__ = ("dispatches", "jobs_dispatched", "retries", "timeouts",
-                 "crashes", "errors", "absint_proved", "wall_time")
+                 "crashes", "errors", "wall_time")
 
     def __init__(self, dispatches: int = 0, jobs_dispatched: int = 0,
                  retries: int = 0, timeouts: int = 0, crashes: int = 0,
-                 errors: int = 0, absint_proved: int = 0,
-                 wall_time: float = 0.0):
+                 errors: int = 0, wall_time: float = 0.0):
         self.dispatches = dispatches
         self.jobs_dispatched = jobs_dispatched
         self.retries = retries
         self.timeouts = timeouts
         self.crashes = crashes
         self.errors = errors
-        self.absint_proved = absint_proved
         self.wall_time = wall_time
 
     def merge(self, other: "SchedulerStats") -> "SchedulerStats":
@@ -207,7 +205,6 @@ class SchedulerStats:
         self.timeouts += other.timeouts
         self.crashes += other.crashes
         self.errors += other.errors
-        self.absint_proved += other.absint_proved
         self.wall_time += other.wall_time
         return self
 
@@ -219,7 +216,6 @@ class SchedulerStats:
             "timeouts": self.timeouts,
             "crashes": self.crashes,
             "errors": self.errors,
-            "absint_proved": self.absint_proved,
             "wall_time": self.wall_time,
         }
 
@@ -290,8 +286,7 @@ class Scheduler:
         it dispatched.
         """
         stats = stats if stats is not None else EngineStats()
-        before = (stats.retries, stats.timeouts, stats.crashes,
-                  stats.errors, stats.absint_proved)
+        before = (stats.retries, stats.timeouts, stats.crashes, stats.errors)
         start = time.monotonic()
         try:
             if self.jobs <= 1 or len(payloads) <= 1:
@@ -306,7 +301,6 @@ class Scheduler:
                 timeouts=stats.timeouts - before[1],
                 crashes=stats.crashes - before[2],
                 errors=stats.errors - before[3],
-                absint_proved=stats.absint_proved - before[4],
                 wall_time=time.monotonic() - start,
             )
             self.last_stats = snapshot
@@ -320,8 +314,6 @@ class Scheduler:
         stats.record_latency(outcome.get("elapsed", 0.0))
         if outcome.get("timed_out"):
             stats.timeouts += 1
-        if outcome.get("absint_proved"):
-            stats.absint_proved += 1
 
     def _run_inline(self, payloads: List[dict], stats: EngineStats,
                     on_outcome: Optional[Callable[[str, dict], None]],

@@ -33,9 +33,6 @@ class EngineStats:
         jobs_deduped: jobs folded into an identical job in the same batch.
         cache_hits: jobs answered from the persistent cache.
         jobs_executed: refinement checks actually run (cold work).
-        absint_proved: executed jobs whose type assignments were all
-            discharged by the abstract-interpretation tier — valid
-            verdicts that cost zero SAT queries.
         retries: worker attempts beyond the first, across all jobs.
         timeouts: jobs whose outcome was a wall-clock budget expiry.
         crashes: worker processes that died mid-job (segfault, OOM
@@ -53,7 +50,6 @@ class EngineStats:
         self.jobs_deduped = 0
         self.cache_hits = 0
         self.jobs_executed = 0
-        self.absint_proved = 0
         self.retries = 0
         self.timeouts = 0
         self.crashes = 0
@@ -91,7 +87,6 @@ class EngineStats:
         self.jobs_deduped += other.jobs_deduped
         self.cache_hits += other.cache_hits
         self.jobs_executed += other.jobs_executed
-        self.absint_proved += other.absint_proved
         self.retries += other.retries
         self.timeouts += other.timeouts
         self.crashes += other.crashes
@@ -110,7 +105,6 @@ class EngineStats:
             "jobs_deduped": self.jobs_deduped,
             "cache_hits": self.cache_hits,
             "jobs_executed": self.jobs_executed,
-            "absint_proved": self.absint_proved,
             "retries": self.retries,
             "timeouts": self.timeouts,
             "crashes": self.crashes,
@@ -130,7 +124,6 @@ class EngineStats:
             ("jobs deduplicated", "%d" % self.jobs_deduped),
             ("cache hits", "%d" % self.cache_hits),
             ("jobs executed", "%d" % self.jobs_executed),
-            ("absint proved", "%d" % self.absint_proved),
             ("retries", "%d" % self.retries),
             ("timeouts", "%d" % self.timeouts),
             ("worker crashes", "%d" % self.crashes),

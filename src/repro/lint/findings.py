@@ -70,7 +70,7 @@ PASSES = {
     "provable-by-absint": (
         "semantic", "the rule's refinement obligation is discharged by "
         "the verified abstract-interpretation tier alone at every "
-        "feasible type assignment; the solver is never needed"),
+        "feasible type assignment; the rule is trivially valid"),
     "absint-refuted-pre": (
         "semantic", "a precondition atom is contradicted by the "
         "known-bits/interval analysis at every feasible type "

@@ -361,8 +361,8 @@ def check_absint(t: ast.Transformation, config: Config) -> dict:
     Two questions, both quantified over the feasible type enumeration:
 
     * **provable** — :func:`repro.absint.prove_refinement` discharges
-      the refinement at *every* assignment, i.e. verifying this rule
-      never needs the solver (the engine fast path always fires).
+      the refinement at *every* assignment, i.e. the rule holds by
+      known-bits/interval reasoning alone, with no solver query.
     * **refuted** — a precondition atom that the must-analysis proves
       always-false at every assignment, each carrying the concrete
       witness :func:`repro.absint.refuted_pre_atoms` validated through

@@ -1,5 +1,6 @@
 """Persistent cache behavior: hits, invalidation, corruption recovery."""
 
+import ast
 import json
 import os
 
@@ -135,6 +136,49 @@ class TestCacheFile:
         monkeypatch.setenv("ALIVE_REPRO_FINGERPRINT", "forced")
         assert semantics_fingerprint() == "forced"
         assert ResultCache(cache_path).fingerprint == "forced"
+
+
+def _imported_packages(path):
+    """Top-level ``repro`` subpackages that the module at *path* imports."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names, level = [alias.name for alias in node.names], 0
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + ["%s.%s" % (base, alias.name)
+                              for alias in node.names]
+            level = node.level
+        else:
+            continue
+        if level == 0:
+            names = [n[len("repro."):] for n in names
+                     if n.startswith("repro.")]
+        found.update(n.strip(".").split(".")[0] for n in names)
+    return found
+
+
+class TestSemanticPackages:
+    """The fingerprint hashes exactly the packages a verdict can see."""
+
+    def test_no_semantic_package_imports_absint(self):
+        # the verifier never consults the abstract tier, which is why
+        # its source can stay out of the verdict-cache fingerprint
+        import repro
+        from repro.engine.cache import _SEMANTIC_PACKAGES
+
+        root = os.path.dirname(repro.__file__)
+        offenders = []
+        for package in _SEMANTIC_PACKAGES:
+            for dirpath, _, files in os.walk(os.path.join(root, package)):
+                for name in files:
+                    path = os.path.join(dirpath, name)
+                    if (name.endswith(".py")
+                            and "absint" in _imported_packages(path)):
+                        offenders.append(os.path.relpath(path, root))
+        assert offenders == []
 
 
 def file_lines(path):

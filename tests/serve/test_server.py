@@ -99,7 +99,8 @@ class TestBadRequests:
     def test_unknown_knob(self, make_server):
         harness = make_server()
         with harness.client() as client:
-            for knob, value in (("warp_factor", 9), ("incremental", False)):
+            for knob, value in (("warp_factor", 9), ("incremental", False),
+                                ("absint", False)):
                 response = client.submit(GOOD, knobs={knob: value})
                 assert response["error"] == "bad_request"
                 assert knob in response["detail"]

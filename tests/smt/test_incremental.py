@@ -268,9 +268,8 @@ class TestCegisThroughCheckAssignment:
         from repro.typing.enumerate import enumerate_assignments
 
         t = parse_transformation(self.RULES[expected], expected)
-        # absint=False: the abstract tier must not answer for the solver
         config = Config(max_width=8, prefer_widths=(8,),
-                        max_type_assignments=1, absint=False)
+                        max_type_assignments=1)
         checker = TypeChecker()
         system = checker.check_transformation(t)
         (mapping,) = enumerate_assignments(

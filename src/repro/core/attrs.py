@@ -24,10 +24,10 @@ import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir import ast
-from ..typing.enumerate import enumerate_assignments
 from .config import Config, DEFAULT_CONFIG
 from .refinement import check_assignment
 from .typecheck import TypeAssignment, TypeChecker
+from .verifier import type_assignments
 
 #: one attribute slot: (template, instruction name, flag)
 Slot = Tuple[str, str, str]
@@ -141,10 +141,7 @@ def _correct_for_all_types(
     checker = TypeChecker()
     system = checker.check_transformation(t)
     any_assignment = False
-    for mapping in enumerate_assignments(
-        system, max_width=config.max_width, prefer=config.prefer_widths,
-        limit=config.max_type_assignments,
-    ):
+    for mapping in type_assignments(system, config):
         any_assignment = True
         outcome = check_assignment(t, TypeAssignment(checker, mapping), config)
         if outcome.status == "invalid":

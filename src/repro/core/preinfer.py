@@ -173,17 +173,14 @@ def _psi_satisfiable(t: ast.Transformation, config: Config) -> bool:
     Guards against vacuous preconditions that "fix" a transformation by
     making its source template always undefined."""
     from ..smt.solver import check_sat
-    from ..typing.enumerate import enumerate_assignments
     from .semantics import EncodeContext, TemplateEncoder, encode_precondition
     from .typecheck import TypeAssignment, TypeChecker
+    from .verifier import type_assignments
     from ..smt import terms as T
 
     checker = TypeChecker()
     system = checker.check_transformation(t)
-    for mapping in enumerate_assignments(
-        system, max_width=config.max_width, prefer=config.prefer_widths,
-        limit=config.max_type_assignments,
-    ):
+    for mapping in type_assignments(system, config):
         ctx = EncodeContext(TypeAssignment(checker, mapping), config)
         src = TemplateEncoder(ctx, is_target=False)
         src.encode_template(t.src.values())

@@ -23,9 +23,10 @@ The result statuses mirror the tool's observable behaviours:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..ir import ast
+from ..typing.constraints import ConstraintSystem
 from ..typing.enumerate import enumerate_assignments
 from .config import Config, DEFAULT_CONFIG
 from .counterexample import Counterexample
@@ -155,6 +156,29 @@ def _located(t: ast.Transformation, detail: str) -> str:
     return detail
 
 
+def type_assignments(
+    system: ConstraintSystem,
+    config: Config,
+    limit: Optional[int] = None,
+) -> Iterator[Dict]:
+    """The feasible type assignments *config* admits, in enumeration order.
+
+    The one mapping from :class:`Config` to the §3.2 enumeration: the
+    width bound, the preferred widths, the assignment cap and the
+    floating-point formats.  Every caller that enumerates assignments
+    goes through here, so the engine's planner and worker, the linter
+    and the SMT-LIB export all see the same assignment at each index.
+    *limit* overrides ``config.max_type_assignments``.
+    """
+    return enumerate_assignments(
+        system,
+        max_width=config.max_width,
+        prefer=config.prefer_widths,
+        limit=config.max_type_assignments if limit is None else limit,
+        fp_formats=config.fp_formats,
+    )
+
+
 def decompose(
     t: ast.Transformation,
     config: Config = DEFAULT_CONFIG,
@@ -185,14 +209,7 @@ def decompose(
                                detail=_located(t, str(e))),
             None, [],
         )
-    mappings = list(enumerate_assignments(
-        system,
-        max_width=config.max_width,
-        prefer=config.prefer_widths,
-        limit=config.max_type_assignments,
-        fp_formats=config.fp_formats,
-    ))
-    return None, checker, mappings
+    return None, checker, list(type_assignments(system, config))
 
 
 def verify(

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.config import Config
 from ..core.verifier import VerificationResult, decompose
@@ -101,50 +100,6 @@ def job_key(body: str, signature: str, knobs: dict, fingerprint: str) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def fuse_payloads(payloads: List[dict], max_fused: int = 16) -> List[dict]:
-    """Group job payloads into fused dispatch batches by rule affinity.
-
-    Jobs of the same rule (identical ``text`` + ``knobs``) are made
-    contiguous and ordered by assignment index, so a warm worker
-    re-parses and re-typechecks each rule once per batch instead of
-    once per job; contiguous runs sharing the same knobs are then
-    chunked into batches of at most *max_fused* sub-jobs.  A batch is
-    a plain dict ``{"fused": True, "key", "knobs", "jobs": [...]}`` —
-    the individual payloads (and their content-addressed keys) are
-    carried through unchanged, which is what keeps cache keys and
-    per-job outcomes byte-identical to unfused dispatch.
-
-    Singleton chunks stay plain payloads; ``max_fused <= 1`` disables
-    fusion entirely.
-    """
-    if max_fused <= 1 or len(payloads) <= 1:
-        return list(payloads)
-    groups: "OrderedDict[Tuple[str, str], List[dict]]" = OrderedDict()
-    for payload in payloads:
-        knobs_json = json.dumps(payload["knobs"], sort_keys=True)
-        groups.setdefault((payload["text"], knobs_json), []).append(payload)
-    # one ordered stream per knobs value: every sub-job of a batch must
-    # share its knobs (the pool derives per-sub hard deadlines from them)
-    streams: "OrderedDict[str, List[dict]]" = OrderedDict()
-    for (_text, knobs_json), group in groups.items():
-        group.sort(key=lambda p: p["index"])
-        streams.setdefault(knobs_json, []).extend(group)
-    batches: List[dict] = []
-    for ordered in streams.values():
-        for i in range(0, len(ordered), max_fused):
-            chunk = ordered[i:i + max_fused]
-            if len(chunk) == 1:
-                batches.append(chunk[0])
-            else:
-                batches.append({
-                    "fused": True,
-                    "key": "fused:%s" % chunk[0]["key"],
-                    "knobs": chunk[0]["knobs"],
-                    "jobs": chunk,
-                })
-    return batches
 
 
 class TransformationPlan:

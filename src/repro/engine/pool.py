@@ -42,16 +42,13 @@ from .. import chaos
 #: worker-process site consulted before every dispatch attempt
 WORKER_SITE = "engine.worker.run"
 
+#: jobs a warm worker completes before it is replaced with a fresh
+#: process at its next idle moment (bounds resident-state growth)
+RECYCLE_AFTER = 512
+
 
 def _worker_main(conn, worker) -> None:
-    """Worker-process loop: recv payload, run, send outcome; forever.
-
-    A worker function may return a *generator* (fused dispatch): each
-    yielded outcome is streamed back as a ``("sub", outcome)`` message
-    the moment it exists, followed by ``("done", None)`` — so the
-    parent always knows exactly which sub-jobs finished, even if the
-    process dies mid-batch.
-    """
+    """Worker-process loop: recv payload, run, send outcome; forever."""
     while True:
         try:
             payload = conn.recv()
@@ -62,12 +59,6 @@ def _worker_main(conn, worker) -> None:
             if fault is not None:
                 chaos.execute_worker_fault(fault, inline=False)
             result = worker(payload)
-            if hasattr(result, "__next__"):
-                for item in result:
-                    conn.send(("sub", item))
-                reply = ("done", None)
-            else:
-                reply = ("ok", result)
         except KeyboardInterrupt:  # pragma: no cover - parent shutdown
             return
         except BaseException as e:
@@ -78,7 +69,7 @@ def _worker_main(conn, worker) -> None:
                 return
         else:
             try:
-                conn.send(reply)
+                conn.send(("ok", result))
             except (OSError, BrokenPipeError):  # pragma: no cover
                 return
 
@@ -96,10 +87,9 @@ class _Worker:
         self.process.start()
         child_conn.close()
         self.conn = parent_conn
-        #: (payload, attempts, deadline | None, done-keys | None)
-        #: while busy, else None; ``done`` is a set for fused batches
+        #: (payload, attempts, deadline | None) while busy, else None
         self.job = None
-        #: sub-jobs finished over this process's lifetime (recycle-after-N)
+        #: jobs finished over this process's lifetime (RECYCLE_AFTER)
         self.completed = 0
 
     def kill(self) -> None:
@@ -131,7 +121,6 @@ def run_pool(
     max_retries: int,
     hard_timeout: Callable[[dict], Optional[float]],
     on_outcome: Optional[Callable[[str, dict], None]] = None,
-    recycle_after: int = 512,
 ) -> Dict[str, dict]:
     """Run *payloads* across a self-healing pool; key → outcome map.
 
@@ -139,21 +128,6 @@ def run_pool(
     books a successful outcome into it; *error_outcome* builds the
     ``unknown`` outcome for an abandoned job (the scheduler owns both
     so inline and pooled execution stay byte-identical).
-
-    Payloads may be *fused batches* (``{"fused": True, "jobs": [...]}``)
-    whose sub-job outcomes the worker streams back one message each.
-    For a fused batch the parent fires the chaos site once per sub-job
-    at dispatch (invocation counts match unfused dispatch exactly), the
-    hard deadline restarts on every finished sub-job, and on a crash,
-    error or hard timeout only the *unfinished* sub-jobs are acted on:
-    the one that was running is retried/abandoned/timed out like a
-    plain job, the untouched tail is requeued at unchanged attempt
-    counts.  A finished-and-reported sub-job is never requeued, so no
-    verdict is lost or double-reported.
-
-    *recycle_after* bounds resident-state growth in warm workers: a
-    worker that has completed that many sub-jobs is replaced with a
-    fresh process at its next idle moment.
     """
     ctx = _pool_context()
     queue = deque((payload, 0) for payload in payloads)
@@ -179,33 +153,15 @@ def run_pool(
             stats.errors += 1
             resolve(payload["key"], error_outcome(payload["key"], why))
 
-    def undone_jobs(payload: dict, done) -> List[dict]:
-        """Sub-jobs of a fused batch that never reported an outcome."""
-        return [sub for sub in payload["jobs"]
-                if sub["key"] not in done and sub["key"] not in outcomes]
-
-    def abandon(payload: dict, attempts: int, done, why: str) -> None:
-        """Crash/error fallout: retry the sub-job that was running,
-        requeue the untouched tail, leave finished ones alone."""
-        if not payload.get("fused"):
-            give_up_or_requeue(payload, attempts, why)
-            return
-        undone = undone_jobs(payload, done)
-        if not undone:
-            return  # every sub-job already reported
-        give_up_or_requeue(undone[0], attempts, why)
-        for sub in undone[1:]:
-            queue.append((sub, attempts))
-
     def handle_crash(w: _Worker) -> None:
-        payload, attempts, _deadline, done = w.job
+        payload, attempts, _deadline = w.job
         w.job = None
         stats.crashes += 1
         w.kill()  # joins, so the exit code is observable afterwards
         exit_code = w.process.exitcode
         workers.remove(w)
-        abandon(payload, attempts, done,
-                "worker crashed (exit code %s)" % exit_code)
+        give_up_or_requeue(payload, attempts,
+                           "worker crashed (exit code %s)" % exit_code)
 
     def recycle(w: _Worker) -> None:
         w.kill()
@@ -220,40 +176,26 @@ def run_pool(
             for w in list(workers):
                 if w.job is not None or not queue:
                     continue
-                if w.completed >= recycle_after:
+                if w.completed >= RECYCLE_AFTER:
                     # resident-state hygiene: retire the warm process
                     recycle(w)
                     w = _Worker(ctx, worker)
                     workers.append(w)
                 payload, attempts = queue.popleft()
-                fused = payload.get("fused")
                 sent = dict(payload)
-                if fused:
-                    chaos_map = {}
-                    for sub in payload["jobs"]:
-                        spec = chaos.fire(WORKER_SITE, key=sub["key"],
-                                          attempt=attempts)
-                        if spec is not None:
-                            chaos_map[sub["key"]] = chaos.payload_fault(spec)
-                    if chaos_map:
-                        sent["_chaos_map"] = chaos_map
-                else:
-                    spec = chaos.fire(WORKER_SITE, key=payload["key"],
-                                      attempt=attempts)
-                    if spec is not None:
-                        sent["_chaos"] = chaos.payload_fault(spec)
+                spec = chaos.fire(WORKER_SITE, key=payload["key"],
+                                  attempt=attempts)
+                if spec is not None:
+                    sent["_chaos"] = chaos.payload_fault(spec)
                 hard = hard_timeout(payload)
                 deadline = None if hard is None \
                     else time.monotonic() + hard
-                done = set() if fused else None
+                w.job = (payload, attempts, deadline)
                 try:
                     w.conn.send(sent)
                 except (OSError, BrokenPipeError):
                     # died before it could even accept the job
-                    w.job = (payload, attempts, deadline, done)
                     handle_crash(w)
-                    continue
-                w.job = (payload, attempts, deadline, done)
 
             busy = [w for w in workers if w.job is not None]
             if not busy:
@@ -270,7 +212,7 @@ def run_pool(
             now = time.monotonic()
 
             for w in list(busy):
-                payload, attempts, deadline, done = w.job
+                payload, attempts, deadline = w.job
                 key = payload["key"]
                 if w.conn in ready:
                     try:
@@ -278,36 +220,20 @@ def run_pool(
                     except (EOFError, OSError):
                         handle_crash(w)
                         continue
-                    if kind == "sub":
-                        # one fused sub-job finished; batch continues.
-                        # the hard deadline is per sub-job: restart it.
-                        w.completed += 1
-                        record(value)
-                        resolve(value["key"], value)
-                        done.add(value["key"])
-                        hard = hard_timeout(payload)
-                        w.job = (payload, attempts,
-                                 None if hard is None else now + hard,
-                                 done)
-                        continue
                     w.job = None
                     if kind == "ok":
                         w.completed += 1
                         record(value)
                         resolve(key, value)
-                    elif kind == "done":
-                        pass  # fused batch complete; subs already booked
                     else:
-                        abandon(payload, attempts, done,
-                                "job failed: %s" % value)
+                        give_up_or_requeue(payload, attempts,
+                                           "job failed: %s" % value)
                 elif w.process.sentinel in ready \
                         or not w.process.is_alive():
                     handle_crash(w)
                 elif deadline is not None and now >= deadline:
                     # hung outside the solver's cooperative deadline
                     # checks: kill the worker, don't resubmit the job
-                    # that was running — but a fused batch's untouched
-                    # tail is requeued (those sub-jobs never started)
                     stats.timeouts += 1
                     stats.errors += 1
                     w.job = None
@@ -315,16 +241,7 @@ def run_pool(
                     workers.remove(w)
                     why = "hard timeout after %.0fs" \
                         % (hard_timeout(payload) or 0.0)
-                    if payload.get("fused"):
-                        undone = undone_jobs(payload, done)
-                        if undone:
-                            resolve(undone[0]["key"], error_outcome(
-                                undone[0]["key"], why, timed_out=True))
-                            for sub in undone[1:]:
-                                queue.append((sub, attempts))
-                    else:
-                        resolve(key, error_outcome(key, why,
-                                                   timed_out=True))
+                    resolve(key, error_outcome(key, why, timed_out=True))
     finally:
         for w in workers:
             w.kill()

@@ -2,12 +2,13 @@
 
 The worker entry point :func:`run_job` is deliberately self-contained:
 it receives only plain data (transformation text, assignment index,
-config knobs), re-parses and re-typechecks in the worker process, and
-returns a plain-data outcome dict.  Re-deriving the type assignment
-from its enumeration index is sound because enumeration is
-deterministic in the (text, knobs) pair — the same determinism the
-content-addressed job keys rely on — and it is cheap next to the SMT
-work the job exists to parallelize.
+config knobs), re-plans the rule in the worker process with the
+planner's own :func:`~repro.core.verifier.decompose`, and returns a
+plain-data outcome dict.  Re-deriving the type assignment from its
+enumeration index is sound because enumeration is deterministic in the
+(text, knobs) pair — the same determinism the content-addressed job
+keys rely on — and it is cheap next to the SMT work the job exists to
+parallelize.
 
 The scheduler layers four robustness mechanisms on top of the pool
 (:mod:`repro.engine.pool`, which manages worker processes directly so
@@ -43,16 +44,12 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
 from .. import chaos
-from .jobs import fuse_payloads
 from .pool import WORKER_SITE, run_pool
 from .stats import EngineStats
 
 #: grace factor applied to Config.time_limit for the hard pool timeout
 _HARD_TIMEOUT_SLACK = 3.0
 _HARD_TIMEOUT_FLOOR = 30.0
-
-#: upper bound on sub-jobs per fused dispatch batch
-_FUSE_MAX = 16
 
 
 # ----------------------------------------------------------------------
@@ -62,9 +59,9 @@ _FUSE_MAX = 16
 # check_assignment builds one incremental session per type assignment
 # and drops it on return, so a job's outcome is a function of its
 # payload alone, never of worker history — that is what makes the
-# content-addressed cache and fused/unfused parity sound.  What stays
-# warm across jobs is the rule plan cache, the hash-consed term table,
-# and the process itself.  See DESIGN.md, "Incremental solving".
+# content-addressed cache and warm/cold worker parity sound.  What
+# stays warm across jobs is the rule plan cache, the hash-consed term
+# table, and the process itself.  See DESIGN.md, "Incremental solving".
 # ----------------------------------------------------------------------
 
 #: (text, knobs_json) -> {"t", "config", "checker", "mappings"}
@@ -73,11 +70,11 @@ _RESIDENT_RULE_LIMIT = 4
 
 
 def _resident_plan(text: str, knobs: dict) -> dict:
-    """Parse/typecheck/enumerate a rule once; serve repeats from cache."""
+    """Plan a rule once, with the planner's own
+    :func:`~repro.core.verifier.decompose`; serve repeats from cache."""
     from ..core.config import Config
-    from ..core.typecheck import TypeChecker
+    from ..core.verifier import decompose
     from ..ir import parse_transformations
-    from ..typing.enumerate import enumerate_assignments
 
     key = (text, json.dumps(knobs, sort_keys=True))
     plan = _RESIDENT_RULES.get(key)
@@ -86,14 +83,11 @@ def _resident_plan(text: str, knobs: dict) -> dict:
         return plan
     t = parse_transformations(text)[0]
     config = Config.from_dict(knobs)
-    checker = TypeChecker()
-    system = checker.check_transformation(t)
-    mappings = list(enumerate_assignments(
-        system,
-        max_width=config.max_width,
-        prefer=config.prefer_widths,
-        limit=config.max_type_assignments,
-    ))
+    early, checker, mappings = decompose(t, config)
+    if early is not None:
+        # the planner emitted jobs for this rule, so it decomposed there
+        raise RuntimeError("rule %s no longer decomposes into jobs: %s"
+                           % (t.name, early.detail))
     plan = {"t": t, "config": config, "checker": checker,
             "mappings": mappings}
     _RESIDENT_RULES[key] = plan
@@ -112,10 +106,11 @@ def run_job(payload: dict) -> dict:
     errors propagate so the scheduler can retry.
 
     Re-deriving the type assignment from its enumeration index is
-    sound because enumeration is deterministic in the (text, knobs)
-    pair — the same determinism the content-addressed job keys rely
-    on — and with the resident rule cache it costs one parse/enumerate
-    per rule per worker, not per job.
+    sound because the worker plans the rule with the planner's own
+    ``decompose``, which is deterministic in the (text, knobs) pair —
+    the same determinism the content-addressed job keys rely on — and
+    with the resident rule cache it costs one parse/enumerate per rule
+    per worker, not per job.
     """
     from ..core.refinement import check_assignment
     from ..core.semantics import Unsupported
@@ -142,35 +137,6 @@ def run_job(payload: dict) -> dict:
     result["key"] = payload["key"]
     result["elapsed"] = time.monotonic() - start
     return result
-
-
-def _iter_fused(payload: dict):
-    """Yield per-sub-job outcomes of one fused batch, in order.
-
-    Per-sub chaos faults (decided in the *parent* at dispatch time, so
-    firing order is deterministic) ride in ``_chaos_map`` and are acted
-    out immediately before their sub-job — a crash mid-batch therefore
-    kills the worker with exactly the finished sub-jobs reported.
-    """
-    chaos_map = payload.get("_chaos_map") or {}
-    for sub in payload["jobs"]:
-        fault = chaos_map.get(sub["key"])
-        if fault is not None:
-            chaos.execute_worker_fault(fault, inline=False)
-        yield run_job(sub)
-
-
-def run_dispatch(payload: dict):
-    """Pool worker entry handling plain payloads and fused batches.
-
-    Plain payloads return one outcome dict; fused batches return a
-    generator of them, which the pool streams back one message per
-    sub-job (that streaming is what lets the parent re-dispatch *only*
-    the unfinished tail of a batch after a crash).
-    """
-    if payload.get("fused"):
-        return _iter_fused(payload)
-    return run_job(payload)
 
 
 class SchedulerStats:
@@ -244,22 +210,13 @@ class Scheduler:
     driver) reuse the scheduler's pool/retry/timeout machinery by
     passing their own module-level worker function — it must be
     picklable, take one payload dict and return one outcome dict
-    containing at least ``"key"``.
-
-    When the worker is the default refinement one, pool dispatch is
-    *fused*: payloads are grouped by rule affinity
-    (:func:`~repro.engine.jobs.fuse_payloads`) and each batch crosses
-    the process boundary as one message, with per-sub-job outcomes
-    streamed back as they finish.  ``fuse`` overrides the batch size
-    (``1`` disables fusion; ``None`` picks one from the workload).
-    Custom workers are never fused.
+    containing at least ``"key"``.  Every payload crosses the process
+    boundary as one message and comes back as one outcome.
     """
 
-    def __init__(self, jobs: int = 1, max_retries: int = 1, worker=None,
-                 fuse: Optional[int] = None):
+    def __init__(self, jobs: int = 1, max_retries: int = 1, worker=None):
         self.jobs = max(1, jobs)
         self.max_retries = max(0, max_retries)
-        self.fuse = fuse
         self.worker = worker if worker is not None else run_job
         #: snapshot of the most recent run() call
         self.last_stats: Optional[SchedulerStats] = None
@@ -361,27 +318,14 @@ class Scheduler:
                 on_outcome(payload["key"], outcome)
         return outcomes
 
-    def _fuse_size(self, payloads: List[dict]) -> int:
-        """Batch size for fused dispatch: explicit knob, else keep every
-        worker fed with a handful of batches so stragglers rebalance."""
-        if self.fuse is not None:
-            return max(1, self.fuse)
-        return max(2, min(_FUSE_MAX,
-                          -(-len(payloads) // (self.jobs * 4))))
-
     def _run_pool(self, payloads: List[dict], stats: EngineStats,
                   on_outcome: Optional[Callable[[str, dict], None]],
                   ) -> Dict[str, dict]:
         """Parallel execution across the crash-safe worker pool."""
-        worker = self.worker
-        dispatch = payloads
-        if worker is run_job:
-            dispatch = fuse_payloads(payloads, self._fuse_size(payloads))
-            worker = run_dispatch
         return run_pool(
-            worker,
-            dispatch,
-            processes=min(self.jobs, max(1, len(dispatch))),
+            self.worker,
+            payloads,
+            processes=min(self.jobs, len(payloads)),
             stats=stats,
             record=lambda outcome: self._record(stats, outcome),
             error_outcome=_error_outcome,

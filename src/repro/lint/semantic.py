@@ -52,6 +52,7 @@ from ..core.semantics import (
     builtin_semantic_condition,
 )
 from ..core.typecheck import TypeAssignment, TypeChecker
+from ..core.verifier import type_assignments
 from ..engine.cache import semantics_fingerprint
 from ..ir import ast, parse_transformation
 from ..ir.precond import (
@@ -69,7 +70,6 @@ from ..opt.loops import detect_cycles
 from ..smt import terms as T
 from ..smt.solver import check_sat
 from ..typing.constraints import TypeConstraintError
-from ..typing.enumerate import enumerate_assignments
 from .subsume import match_templates, substitute_predicate
 
 _lint_fingerprint_memo: Optional[str] = None
@@ -193,10 +193,7 @@ def check_feasibility(t: ast.Transformation, config: Config) -> dict:
     unknown = False
     candidates = set(range(n_clauses)) if n_clauses > 1 else set()
     assignments = 0
-    for mapping in enumerate_assignments(
-            system, max_width=config.max_width,
-            prefer=config.prefer_widths,
-            limit=config.max_type_assignments):
+    for mapping in type_assignments(system, config):
         assignments += 1
         types = TypeAssignment(checker, mapping)
         encoder, base = _feasibility_base(t, types, config)
@@ -252,10 +249,7 @@ def check_subsumption(general: ast.Transformation,
     # specific rule never typed; register them before enumerating
     checker.visit_predicate(subst_pre)
     assignments = 0
-    for mapping in enumerate_assignments(
-            system, max_width=config.max_width,
-            prefer=config.prefer_widths,
-            limit=config.max_type_assignments):
+    for mapping in type_assignments(system, config):
         assignments += 1
         types = TypeAssignment(checker, mapping)
         encoder, base = _feasibility_base(specific, types, config)
@@ -376,10 +370,7 @@ def check_absint(t: ast.Transformation, config: Config) -> dict:
     assignments = 0
     proved_all = True
     refuted: Optional[Dict[str, dict]] = None
-    for mapping in enumerate_assignments(
-            system, max_width=config.max_width,
-            prefer=config.prefer_widths,
-            limit=config.max_type_assignments):
+    for mapping in type_assignments(system, config):
         assignments += 1
         types = TypeAssignment(checker, mapping)
         if proved_all and not prove_refinement(t, types, config):

@@ -86,20 +86,13 @@ def refinement_scripts(transformation, config=None) -> List[str]:
     from ..core.refinement import _uses_memory
     from ..core.semantics import EncodeContext, TemplateEncoder, encode_precondition
     from ..core.typecheck import TypeAssignment, TypeChecker
-    from ..typing.enumerate import enumerate_assignments
+    from ..core.verifier import type_assignments
     from ..ir import ast
 
     config = config or DEFAULT_CONFIG
     checker = TypeChecker()
     system = checker.check_transformation(transformation)
-    mapping = next(
-        iter(
-            enumerate_assignments(
-                system, max_width=config.max_width,
-                prefer=config.prefer_widths, limit=1,
-            )
-        )
-    )
+    mapping = next(type_assignments(system, config, limit=1))
     ctx = EncodeContext(TypeAssignment(checker, mapping), config)
     src = TemplateEncoder(ctx, is_target=False)
     tgt = TemplateEncoder(ctx, is_target=True, source=src)

@@ -85,11 +85,11 @@ COMMUTATIVE_OPS = frozenset(
 # history, so a warm worker process whose term table was populated by
 # earlier jobs would canonicalize the same rule differently than a cold
 # one — semantically equal but structurally different queries, different
-# solver trajectories, different counterexample models, and fused/unfused
-# parity breaks.  Every term therefore carries a 64-bit key mixed from its
-# op, sort, payload and its children's keys via CRC32 (stable across
-# processes, unlike seeded string hashes).  Key ties keep the caller's
-# operand order, which is itself content-deterministic.
+# solver trajectories, different counterexample models, and warm/cold
+# worker parity breaks.  Every term therefore carries a 64-bit key mixed
+# from its op, sort, payload and its children's keys via CRC32 (stable
+# across processes, unlike seeded string hashes).  Key ties keep the
+# caller's operand order, which is itself content-deterministic.
 # ---------------------------------------------------------------------------
 
 _CKEY_MASK = (1 << 64) - 1

@@ -30,7 +30,20 @@ def plan_of(*specs, seed=7):
 
 class TestWorkerCrashes:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_single_crash_retries_to_correct_verdicts(self, jobs):
+    def test_single_crash_retries_to_correct_verdicts(self, jobs,
+                                                      monkeypatch):
+        # count the on_outcome reports submit_jobs receives per key
+        reports = {}
+        real_run = scheduler_mod.Scheduler.run
+
+        def counting_run(self, payloads, stats=None, on_outcome=None):
+            def count(key, outcome):
+                reports[key] = reports.get(key, 0) + 1
+                if on_outcome is not None:
+                    on_outcome(key, outcome)
+            return real_run(self, payloads, stats=stats, on_outcome=count)
+
+        monkeypatch.setattr(scheduler_mod.Scheduler, "run", counting_run)
         plan = plan_of(chaos.FaultSpec("engine.worker.run",
                                        chaos.KIND_CRASH, times=[0]))
         stats = EngineStats()
@@ -41,6 +54,9 @@ class TestWorkerCrashes:
         assert stats.crashes == 1
         assert stats.scheduler["retries"] == 1
         assert plan.fired_total() == 1
+        # the crashed job is retried, yet no key is reported twice
+        assert len(reports) == stats.jobs_total
+        assert set(reports.values()) == {1}
 
     def test_persistent_crash_degrades_to_unknown_never_flips(self):
         plan = plan_of(chaos.FaultSpec("engine.worker.run",

@@ -1,7 +1,11 @@
 """End-to-end verifier tests: statuses, paper examples, undef handling."""
 
+import ast
+import os
+
 import pytest
 
+import repro
 from repro.core import Config, verify, verify_all
 from repro.ir import parse_transformation
 
@@ -226,3 +230,44 @@ class TestMultiWidthPolymorphism:
         """, CFG6)
         assert r.status == "valid"
         assert r.assignments_checked == 1
+
+
+def _enumerate_callers(path):
+    """Names of the functions in the module at *path* that call
+    ``enumerate_assignments``."""
+    with open(path) as handle:
+        tree = ast.parse(handle.read(), path)
+    callers = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            target = node.func
+            name = target.attr if isinstance(target, ast.Attribute) \
+                else getattr(target, "id", None)
+            if name == "enumerate_assignments":
+                callers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return callers
+
+
+class TestOneAssignmentMapping:
+    def test_only_type_assignments_enumerates(self):
+        # every caller outside repro.typing maps Config to enumeration
+        # arguments through one function, so none can drop a knob
+        root = os.path.dirname(repro.__file__)
+        found = set()
+        for dirpath, _, files in os.walk(root):
+            if os.path.relpath(dirpath, root).split(os.sep)[0] == "typing":
+                continue
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    found.update((os.path.relpath(path, root), caller)
+                                 for caller in _enumerate_callers(path))
+        assert found == {(os.path.join("core", "verifier.py"),
+                          "type_assignments")}

@@ -15,6 +15,12 @@ CONFIG = Config(max_width=4, prefer_widths=(4,), ptr_width=16,
 GOOD = "%r = add %x, 0\n=>\n%r = %x\n"
 BAD = "%r = add %x, 1\n=>\n%r = add %x, 2\n"
 
+#: refuted at every format (-0.0 + 0.0 is +0.0); under a double-only
+#: Config the counterexample must name double on every dispatch path
+FADD_ZERO = "%r = fadd %x, 0.0\n=>\n%r = %x\n"
+DOUBLE_CONFIG = Config(max_width=4, prefer_widths=(4,), ptr_width=16,
+                       max_type_assignments=2, fp_formats=("double",))
+
 
 def mixed_corpus():
     """A small batch covering valid, invalid and memory transformations."""
@@ -31,6 +37,10 @@ class TestEquivalence:
         ts = mixed_corpus()
         sequential = [verify(t, CONFIG) for t in ts]
         batch = run_batch(ts, CONFIG, jobs=jobs)
+        fadd_zero = parse_transformation(FADD_ZERO, "fadd-zero")
+        sequential.append(verify(fadd_zero, DOUBLE_CONFIG))
+        batch += run_batch([fadd_zero], DOUBLE_CONFIG, jobs=jobs)
+        assert sequential[-1].status == "invalid"
         assert len(batch) == len(sequential)
         for seq, par in zip(sequential, batch):
             assert par.name == seq.name

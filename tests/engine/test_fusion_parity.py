@@ -1,12 +1,11 @@
-"""Fused dispatch must be observationally identical to per-job dispatch.
+"""Pool dispatch must be observationally identical to inline dispatch.
 
-Job fusion (:func:`repro.engine.jobs.fuse_payloads` + streaming in
-:mod:`repro.engine.pool`) and the warm-worker resident state are pure
-transport/locality optimizations: for every job key the verdict, the
-counterexample bytes and the cache record must be exactly what the
-unfused, cold path produces.  This suite runs one corpus through the
-fused pool, the per-job pool (``fuse=1``), and the inline ``--jobs 1``
-path and diffs the outcome maps, plus cold/warm cache determinism.
+The worker pool (:mod:`repro.engine.pool`) and the warm-worker resident
+state are pure transport/locality optimizations: for every job key the
+verdict, the counterexample bytes and the cache record must be exactly
+what the inline, cold path produces.  This suite runs one corpus
+through the pool at ``--jobs 2`` and the inline ``--jobs 1`` path and
+diffs the outcome maps, plus cold/warm cache determinism.
 
 By default a representative slice of the corpus keeps the tier-1 run
 fast; the CI ``incremental-parity`` job sets
@@ -14,14 +13,13 @@ fast; the CI ``incremental-parity`` job sets
 corpus and the lint bad-rule corpus.
 """
 
-import json
 import os
 
 import pytest
 
 from repro.core import Config
 from repro.engine import EngineStats, ResultCache, Scheduler, submit_jobs
-from repro.engine.jobs import fuse_payloads, plan_transformation
+from repro.engine.jobs import plan_transformation
 from repro.ir import parse_transformation, parse_transformations
 from repro.suite import CATEGORIES, load_bugs, load_category, load_fp
 
@@ -93,7 +91,7 @@ def corpus_payloads():
 def assert_no_transients(outcomes):
     """Environmental degradation (a crashed worker out of retries) is
     not a parity violation; fail it distinctly so a flaky machine does
-    not read as a fusion bug."""
+    not read as a dispatch bug."""
     transient = [k for k, o in outcomes.items() if o.get("transient")]
     assert not transient, \
         "jobs degraded to transient unknown (environment, not parity): " \
@@ -103,7 +101,8 @@ def assert_no_transients(outcomes):
 
 @pytest.fixture(scope="module")
 def reference(corpus_payloads, tmp_path_factory):
-    """Fused pool run at ``--jobs 2``, checkpointed into a cache."""
+    """Pool run at ``--jobs 2`` through ``submit_jobs``, checkpointed
+    into a cache."""
     path = str(tmp_path_factory.mktemp("parity") / "cache.jsonl")
     stats = EngineStats()
     outcomes = submit_jobs(corpus_payloads, jobs=2, max_retries=3,
@@ -121,73 +120,12 @@ def inline_outcomes(corpus_payloads):
     return inline.run(list(corpus_payloads), stats=EngineStats())
 
 
-class TestFusePayloads:
-    """The batching function itself: pure regrouping, nothing mutated."""
-
-    def _payloads(self, n_rules=3, n_jobs=5):
-        out = []
-        for r in range(n_rules):
-            for i in range(n_jobs):
-                out.append({"key": "k%d_%d" % (r, i),
-                            "text": "rule%d" % r,
-                            "index": i,
-                            "knobs": {"max_width": 4}})
-        return out
-
-    def test_groups_by_rule_and_orders_by_index(self):
-        payloads = self._payloads()
-        # interleave rules to prove fusion re-sorts them by affinity
-        payloads.sort(key=lambda p: p["index"])
-        batches = fuse_payloads(payloads, max_fused=5)
-        # chunk size == group size: each batch is one rule, index-sorted
-        assert [b["jobs"][0]["text"] for b in batches] \
-            == ["rule0", "rule1", "rule2"]
-        for b in batches:
-            assert b.get("fused")
-            assert len({s["text"] for s in b["jobs"]}) == 1
-            assert [s["index"] for s in b["jobs"]] == [0, 1, 2, 3, 4]
-
-    def test_every_key_survives_byte_identically(self):
-        payloads = self._payloads()
-        batches = fuse_payloads(payloads, max_fused=4)
-        flat = []
-        for b in batches:
-            flat.extend(b["jobs"] if b.get("fused") else [b])
-        assert sorted(p["key"] for p in flat) \
-            == sorted(p["key"] for p in payloads)
-        # sub-payloads are the original dicts, not rewritten copies
-        by_key = {p["key"]: p for p in payloads}
-        for p in flat:
-            assert p is by_key[p["key"]]
-
-    def test_chunking_respects_max_fused_and_singletons_stay_plain(self):
-        payloads = self._payloads(n_rules=1, n_jobs=9)
-        batches = fuse_payloads(payloads, max_fused=4)
-        assert [len(b["jobs"]) if b.get("fused") else 1
-                for b in batches] == [4, 4, 1]
-        assert not batches[-1].get("fused")
-
-    def test_max_fused_one_disables_fusion(self):
-        payloads = self._payloads()
-        assert fuse_payloads(payloads, max_fused=1) == payloads
-
-    def test_batches_never_mix_knobs(self):
-        payloads = self._payloads(n_rules=1, n_jobs=4)
-        for p in payloads[2:]:
-            p["knobs"] = {"max_width": 8}
-        for b in fuse_payloads(payloads, max_fused=16):
-            if b.get("fused"):
-                knobs = {json.dumps(s["knobs"], sort_keys=True)
-                         for s in b["jobs"]}
-                assert len(knobs) == 1
-
-
 class TestDispatchParity:
-    """Fused pool vs per-job pool vs inline: identical outcome maps."""
+    """Pool (cached and uncached) vs inline: identical outcome maps."""
 
     def test_perjob_pool_matches_fused(self, corpus_payloads, reference):
-        perjob = Scheduler(jobs=2, max_retries=3, fuse=1)
-        outcomes = perjob.run(list(corpus_payloads), stats=EngineStats())
+        pool = Scheduler(jobs=2, max_retries=3)
+        outcomes = pool.run(list(corpus_payloads), stats=EngineStats())
         assert_no_transients(outcomes)
         assert strip_elapsed(outcomes) \
             == strip_elapsed(reference["outcomes"])
@@ -210,7 +148,7 @@ class TestDispatchParity:
 
 
 class TestCacheParity:
-    """Fusion must not change what lands in the persistent cache."""
+    """Pool dispatch must not change what lands in the persistent cache."""
 
     def test_cache_keys_byte_identical_to_plan(self, corpus_payloads,
                                                reference):
@@ -241,7 +179,7 @@ class TestCacheParity:
 
     def test_cold_rerun_is_deterministic(self, corpus_payloads,
                                          reference, tmp_path):
-        """A second cold fused run (fresh cache, fresh workers) must
+        """A second cold pool run (fresh cache, fresh workers) must
         reproduce the reference outcome map exactly."""
         stats = EngineStats()
         path = str(tmp_path / "cache2.jsonl")

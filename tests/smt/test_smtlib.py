@@ -2,6 +2,7 @@
 
 import re
 
+from repro.core import Config
 from repro.ir import parse_transformation
 from repro.smt import terms as T
 from repro.smt.smtlib import (
@@ -93,3 +94,12 @@ class TestRefinementScripts:
         )
         scripts = refinement_scripts(t)
         assert any("forall" in s for s in scripts)
+
+    def test_fp_formats_pick_the_exported_assignment(self):
+        # the export enumerates through the same Config mapping as the
+        # verifier, so a double-only Config exports a 64-bit %x
+        t = parse_transformation("%r = fadd %x, 0.0\n=>\n%r = %x\n")
+        scripts = refinement_scripts(t, Config(fp_formats=("double",)))
+        declared = [line for s in scripts for line in s.splitlines()
+                    if line.startswith("(declare-const %x ")]
+        assert declared == ["(declare-const %x (_ BitVec 64))"]

@@ -237,7 +237,7 @@ class TestCanonicalOrderDeterminism:
     The engine's warm workers reuse one process (and its interned term
     table) across many jobs; if operand order were derived from ``id()``
     or seeded string hashes, the same rule would encode differently on a
-    cold worker than on a warm one — breaking fused/unfused parity and
+    cold worker than on a warm one — breaking warm/cold worker parity and
     cold-rerun determinism (this exact bug shipped once: a refuted
     rule's counterexample model depended on which jobs the worker had
     run before).

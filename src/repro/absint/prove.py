@@ -36,7 +36,7 @@ Soundness hinges on three facts, each covered by the test suite:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..ir import ast, intops
 from ..ir.ast import (
@@ -45,8 +45,8 @@ from ..ir.ast import (
 )
 from ..ir.constexpr import ConstExpr, eval_constexpr
 from ..ir.precond import (
-    SYNTACTIC, PredAnd, PredCall, PredCmp, PredNot, PredOr, Predicate,
-    PredTrue,
+    CMP_TO_ICMP, SYNTACTIC, PredAnd, PredCall, PredCmp, PredNot, PredOr,
+    Predicate, builtin_holds, compare, evaluate,
 )
 from ..typing.types import FloatType
 from .domains import AbsValue, KnownBits, SRange, URange, mask, to_signed
@@ -59,13 +59,6 @@ from .transfer import (
 class AbsintUnsupported(Exception):
     """The rule uses features outside the abstract tier (FP, memory)."""
 
-
-#: precondition comparison operator -> icmp condition (signed by default)
-_CMP_TO_ICMP = {
-    "==": "eq", "!=": "ne",
-    "<": "slt", "<=": "sle", ">": "sgt", ">=": "sge",
-    "u<": "ult", "u<=": "ule", "u>": "ugt", "u>=": "uge",
-}
 
 #: ``x cond y``  ⟺  ``y swap(cond) x``
 _SWAP = {
@@ -216,7 +209,7 @@ class Analysis:
         av_b = self.env[id(atom.b)]
         if av_a.width != av_b.width:
             return
-        cond = _CMP_TO_ICMP[atom.op]
+        cond = CMP_TO_ICMP[atom.op]
         if av_b.is_singleton():
             add(atom.a, _range_from_cmp(cond, av_b.value(), av_b.width))
         if av_a.is_singleton():
@@ -683,73 +676,22 @@ def _atom_concrete(atom: Predicate, assign: Dict[str, int],
                    ana: Analysis) -> Optional[bool]:
     """Concrete truth of a precondition atom's semantic condition;
     None when it cannot be evaluated (syntactic predicates)."""
+    if isinstance(atom, PredCall) and atom.kind == SYNTACTIC:
+        return None
+    args = _atom_args(atom)
+    vals = [_concrete_eval(a, assign, ana, strict=False) for a in args]
+    w = ana.width(args[0])
     if isinstance(atom, PredCmp):
-        wa = ana.width(atom.a)
-        a = _concrete_eval(atom.a, assign, ana, strict=False)
-        b = _concrete_eval(atom.b, assign, ana, strict=False)
-        return bool(total_icmp(_CMP_TO_ICMP[atom.op], a, b, wa))
-    if not isinstance(atom, PredCall):
-        return None
-    if atom.kind == SYNTACTIC:
-        return None
-    vals = [_concrete_eval(a, assign, ana, strict=False)
-            for a in atom.args]
-    w = ana.width(atom.args[0])
-    full = mask(w)
-    int_min = -(1 << (w - 1))
-    int_max = (1 << (w - 1)) - 1
-    a = vals[0]
-    fn = atom.fn
-    if fn == "isPowerOf2":
-        return a != 0 and a & (a - 1) == 0
-    if fn == "isPowerOf2OrZero":
-        return a == 0 or a & (a - 1) == 0
-    if fn == "isSignBit":
-        return a == 1 << (w - 1)
-    if fn == "isShiftedMask":
-        if a == 0:
-            return False
-        x = a >> ((a & -a).bit_length() - 1)
-        return x & (x + 1) == 0
-    if fn == "MaskedValueIsZero":
-        return (a & vals[1]) == 0
-    sa = to_signed(a, w)
-    if fn.startswith("WillNotOverflow"):
-        b = vals[1]
-        sb = to_signed(b, w)
-        if fn == "WillNotOverflowUnsignedAdd":
-            return a + b <= full
-        if fn == "WillNotOverflowUnsignedSub":
-            return a >= b
-        if fn == "WillNotOverflowUnsignedMul":
-            return a * b <= full
-        if fn == "WillNotOverflowUnsignedShl":
-            return b < w and (a << b) <= full
-        if fn == "WillNotOverflowSignedAdd":
-            return int_min <= sa + sb <= int_max
-        if fn == "WillNotOverflowSignedSub":
-            return int_min <= sa - sb <= int_max
-        if fn == "WillNotOverflowSignedMul":
-            return int_min <= sa * sb <= int_max
-        if fn == "WillNotOverflowSignedShl":
-            return b < w and int_min <= sa * (1 << b) <= int_max
-    return None
+        return compare(atom.op, vals[0], vals[1], w)
+    return builtin_holds(atom.fn, vals, w)
 
 
 def _eval_pred(p: Predicate, assign: Dict[str, int],
                ana: Analysis) -> bool:
     """Concrete truth of the whole precondition (syntactic atoms are
     TRUE, exactly as the encoder treats them)."""
-    if isinstance(p, PredTrue):
-        return True
-    if isinstance(p, PredAnd):
-        return all(_eval_pred(q, assign, ana) for q in p.ps)
-    if isinstance(p, PredOr):
-        return any(_eval_pred(q, assign, ana) for q in p.ps)
-    if isinstance(p, PredNot):
-        return not _eval_pred(p.p, assign, ana)
-    truth = _atom_concrete(p, assign, ana)
-    return True if truth is None else truth
+    return evaluate(p, lambda atom: _atom_concrete(atom, assign, ana)
+                    is not False)
 
 
 def _leaf_names(values: Iterable[ast.Value]) -> List[str]:
@@ -799,7 +741,7 @@ def _atom_always_false(atom: Predicate, ana: Analysis) -> bool:
         av_b = env[id(atom.b)]
         if av_a.width != av_b.width:
             return False
-        return icmp_decide(_CMP_TO_ICMP[atom.op], av_a, av_b) is False
+        return icmp_decide(CMP_TO_ICMP[atom.op], av_a, av_b) is False
     if not isinstance(atom, PredCall) or atom.kind == SYNTACTIC:
         return False
     a = env[id(atom.args[0])]

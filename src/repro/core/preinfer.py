@@ -24,10 +24,11 @@ correct transformation gets the trivial precondition.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir import ast
 from ..ir.constexpr import ConstExpr, eval_constexpr
+from ..ir.intops import mask
 from ..ir.precond import (
     PredAnd,
     PredCall,
@@ -35,54 +36,33 @@ from ..ir.precond import (
     PredNot,
     PredTrue,
     Predicate,
+    builtin_holds,
+    compare,
+    evaluate,
 )
 from .config import Config, DEFAULT_CONFIG
 from .verifier import VALID, verify
 
 
-def _signed(x: int, w: int) -> int:
-    x &= (1 << w) - 1
-    return x - (1 << w) if x >= 1 << (w - 1) else x
-
-
 def _eval_candidate(pred: Predicate, env: Dict[str, int], width: int) -> bool:
     """Concrete evaluation of a candidate predicate over constants."""
-    if isinstance(pred, PredTrue):
-        return True
-    if isinstance(pred, PredNot):
-        return not _eval_candidate(pred.p, env, width)
-    if isinstance(pred, PredAnd):
-        return all(_eval_candidate(p, env, width) for p in pred.ps)
-    if isinstance(pred, PredCmp):
-        a = _leaf_value(pred.a, env, width)
-        b = _leaf_value(pred.b, env, width)
-        op = pred.op
-        if op.startswith("u"):
-            table = {"u<": a < b, "u<=": a <= b, "u>": a > b, "u>=": a >= b}
-            return table[op]
-        sa, sb = _signed(a, width), _signed(b, width)
-        table = {"==": a == b, "!=": a != b, "<": sa < sb, "<=": sa <= sb,
-                 ">": sa > sb, ">=": sa >= sb}
-        return table[op]
-    if isinstance(pred, PredCall):
-        v = _leaf_value(pred.args[0], env, width)
-        if pred.fn == "isPowerOf2":
-            return v != 0 and v & (v - 1) == 0
-        if pred.fn == "isPowerOf2OrZero":
-            return v & (v - 1) == 0
-        if pred.fn == "isSignBit":
-            return v == 1 << (width - 1)
-        raise ast.AliveError("cannot evaluate candidate %s" % pred)
-    raise ast.AliveError("cannot evaluate candidate %r" % pred)
+    def atom(p: Predicate) -> bool:
+        args = [p.a, p.b] if isinstance(p, PredCmp) else p.args
+        vals = [_leaf_value(a, env, width) for a in args]
+        if isinstance(p, PredCmp):
+            return compare(p.op, vals[0], vals[1], width)
+        return builtin_holds(p.fn, vals, width)
+
+    return evaluate(pred, atom)
 
 
 def _leaf_value(v: ast.Value, env: Dict[str, int], width: int) -> int:
     if isinstance(v, ConstExpr):
         if v.op == "width":
-            return width & ((1 << width) - 1)
+            return width & mask(width)
         return eval_constexpr(v, width, lambda sym: _width_aware(sym, env, width))
     if isinstance(v, ast.Literal):
-        return v.value & ((1 << width) - 1)
+        return v.value & mask(width)
     if isinstance(v, ast.ConstantSymbol):
         return env[v.name]
     raise ast.AliveError("non-constant leaf in candidate: %r" % v)

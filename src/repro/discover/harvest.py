@@ -41,6 +41,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir import ast, intops
+from ..ir.precond import builtin_holds
 from ..workload.costmodel import opcode_cost
 
 #: sentinel for a sample where evaluation trapped (UB or undefined
@@ -82,15 +83,16 @@ class Samples:
         self.envs = envs
         self.widths = widths
         self.n = len(envs)
-        pow2 = tuple(i for i, e in enumerate(envs)
-                     if e["C1"] != 0 and e["C1"] & (e["C1"] - 1) == 0)
-        nonzero = tuple(i for i, e in enumerate(envs) if e["C1"] != 0)
-        signbit = tuple(i for i, e in enumerate(envs)
-                        if e["C1"] == 1 << (widths[i] - 1))
+        c1 = [(e["C1"], w) for e, w in zip(envs, widths)]
+
+        def where(fn: str) -> tuple:
+            return tuple(i for i, (c, w) in enumerate(c1)
+                         if builtin_holds(fn, [c], w))
+
         self.subspaces = {
-            "isPowerOf2(C1)": pow2,
-            "isSignBit(C1)": signbit,
-            "C1 != 0": nonzero,
+            "isPowerOf2(C1)": where("isPowerOf2"),
+            "isSignBit(C1)": where("isSignBit"),
+            "C1 != 0": tuple(i for i, (c, _) in enumerate(c1) if c != 0),
         }
 
 

@@ -30,180 +30,28 @@ false.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import Config
 from ..core.counterexample import KIND_DOMAIN, KIND_POISON, KIND_VALUE
 from ..core.typecheck import TypeAssignment
-from ..ir import ast
+from ..ir import ast, intops
 from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
-from ..ir.intops import icmp, mask, to_signed
+from ..ir.intops import binop_poisons, icmp, mask, to_signed, total_binop
 from ..ir.precond import (
     MUST,
     SYNTACTIC,
-    PredAnd,
     PredCall,
     PredCmp,
-    PredNot,
-    PredOr,
-    PredTrue,
     Predicate,
+    builtin_holds,
+    compare,
+    evaluate,
 )
 
 
 class ConcreteUnsupported(Exception):
     """The transformation uses a feature this oracle does not model."""
-
-
-# ---------------------------------------------------------------------------
-# Totalized integer semantics (agrees with repro.smt.terms on every input)
-# ---------------------------------------------------------------------------
-
-
-def total_binop(op: str, a: int, b: int, w: int) -> int:
-    """The SMT-LIB totalization of a binop (defined on all inputs)."""
-    a &= mask(w)
-    b &= mask(w)
-    if op == "add":
-        return (a + b) & mask(w)
-    if op == "sub":
-        return (a - b) & mask(w)
-    if op == "mul":
-        return (a * b) & mask(w)
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
-    if op == "xor":
-        return a ^ b
-    if op == "udiv":
-        return mask(w) if b == 0 else a // b
-    if op == "urem":
-        return a if b == 0 else a % b
-    if op == "sdiv":
-        sa, sb = to_signed(a, w), to_signed(b, w)
-        if sb == 0:
-            return (1 if sa < 0 else -1) & mask(w)
-        q = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            q = -q
-        return q & mask(w)
-    if op == "srem":
-        sa, sb = to_signed(a, w), to_signed(b, w)
-        if sb == 0:
-            return sa & mask(w)
-        r = abs(sa) % abs(sb)
-        return (-r if sa < 0 else r) & mask(w)
-    if op == "shl":
-        return 0 if b >= w else (a << b) & mask(w)
-    if op == "lshr":
-        return 0 if b >= w else a >> b
-    if op == "ashr":
-        sa = to_signed(a, w)
-        if b >= w:
-            return mask(w) if sa < 0 else 0
-        return (sa >> b) & mask(w)
-    raise ConcreteUnsupported("binop %r" % op)
-
-
-def defined_condition(opcode: str, a: int, b: int, w: int) -> bool:
-    """Table 1, concretely: when the operation has defined behavior."""
-    a &= mask(w)
-    b &= mask(w)
-    if opcode in ("udiv", "urem"):
-        return b != 0
-    if opcode in ("sdiv", "srem"):
-        return b != 0 and not (a == 1 << (w - 1) and b == mask(w))
-    if opcode in ("shl", "lshr", "ashr"):
-        return b < w
-    return True
-
-
-def flag_condition(opcode: str, flag: str, a: int, b: int, w: int) -> bool:
-    """Table 2, concretely: the flagged operation stays poison-free.
-
-    Matches the SMT formulas in :mod:`repro.core.semantics` on *all*
-    inputs, including shift amounts ≥ width, where the conditions are
-    expressed over totalized operations rather than guarded.
-    """
-    sa, sb = to_signed(a, w), to_signed(b, w)
-    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
-    if (opcode, flag) == ("add", "nsw"):
-        return lo <= sa + sb <= hi
-    if (opcode, flag) == ("add", "nuw"):
-        return a + b < (1 << w)
-    if (opcode, flag) == ("sub", "nsw"):
-        return lo <= sa - sb <= hi
-    if (opcode, flag) == ("sub", "nuw"):
-        return a >= b
-    if (opcode, flag) == ("mul", "nsw"):
-        return lo <= sa * sb <= hi
-    if (opcode, flag) == ("mul", "nuw"):
-        return a * b < (1 << w)
-    if (opcode, flag) == ("shl", "nsw"):
-        return total_binop("ashr", total_binop("shl", a, b, w), b, w) == a
-    if (opcode, flag) == ("shl", "nuw"):
-        return total_binop("lshr", total_binop("shl", a, b, w), b, w) == a
-    if (opcode, flag) == ("sdiv", "exact"):
-        return total_binop("mul", total_binop("sdiv", a, b, w), b, w) == a
-    if (opcode, flag) == ("udiv", "exact"):
-        return total_binop("mul", total_binop("udiv", a, b, w), b, w) == a
-    if (opcode, flag) == ("ashr", "exact"):
-        return total_binop("shl", total_binop("ashr", a, b, w), b, w) == a
-    if (opcode, flag) == ("lshr", "exact"):
-        return total_binop("shl", total_binop("lshr", a, b, w), b, w) == a
-    raise ConcreteUnsupported("flag %s on %s" % (flag, opcode))
-
-
-def builtin_predicate(fn: str, args: Sequence[int], w: int) -> bool:
-    """The exact semantic condition *s* of a built-in, concretely."""
-    a = args[0] & mask(w)
-    if fn == "isPowerOf2":
-        return a != 0 and a & (a - 1) == 0
-    if fn == "isPowerOf2OrZero":
-        return a & (a - 1) & mask(w) == 0
-    if fn == "isSignBit":
-        return a == 1 << (w - 1)
-    if fn == "isShiftedMask":
-        filled = a | ((a - 1) & mask(w))
-        return a != 0 and filled & ((filled + 1) & mask(w)) == 0
-    if fn == "MaskedValueIsZero":
-        return a & args[1] & mask(w) == 0
-    sa = to_signed(a, w)
-    sb = to_signed(args[1], w) if len(args) > 1 else 0
-    b = args[1] & mask(w) if len(args) > 1 else 0
-    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
-    if fn == "WillNotOverflowSignedAdd":
-        return lo <= sa + sb <= hi
-    if fn == "WillNotOverflowUnsignedAdd":
-        return a + b < (1 << w)
-    if fn == "WillNotOverflowSignedSub":
-        return lo <= sa - sb <= hi
-    if fn == "WillNotOverflowUnsignedSub":
-        return a >= b
-    if fn == "WillNotOverflowSignedMul":
-        return lo <= sa * sb <= hi
-    if fn == "WillNotOverflowUnsignedMul":
-        return a * b < (1 << w)
-    if fn == "WillNotOverflowSignedShl":
-        return flag_condition("shl", "nsw", a, b, w)
-    if fn == "WillNotOverflowUnsignedShl":
-        return flag_condition("shl", "nuw", a, b, w)
-    raise ConcreteUnsupported("builtin predicate %r" % fn)
-
-
-_PRED_CMP = {
-    "==": lambda a, b, w: a == b,
-    "!=": lambda a, b, w: a != b,
-    "<": lambda a, b, w: to_signed(a, w) < to_signed(b, w),
-    "<=": lambda a, b, w: to_signed(a, w) <= to_signed(b, w),
-    ">": lambda a, b, w: to_signed(a, w) > to_signed(b, w),
-    ">=": lambda a, b, w: to_signed(a, w) >= to_signed(b, w),
-    "u<": lambda a, b, w: a < b,
-    "u<=": lambda a, b, w: a <= b,
-    "u>": lambda a, b, w: a > b,
-    "u>=": lambda a, b, w: a >= b,
-}
 
 
 def approximated_calls(pred: Predicate) -> List[PredCall]:
@@ -323,8 +171,8 @@ class ConcreteTemplate:
 
     def _eval_defined(self, v: ast.Value) -> bool:
         if isinstance(v, ast.BinOp):
-            own = defined_condition(v.opcode, self.value(v.a), self.value(v.b),
-                                    self.width_of(v))
+            own = intops.defined(v.opcode, self.value(v.a),
+                                 self.value(v.b), self.width_of(v))
             return own and self.defined(v.a) and self.defined(v.b)
         if isinstance(v, ast.Select):
             chosen = v.a if self.value(v.c) else v.b
@@ -350,7 +198,7 @@ class ConcreteTemplate:
         if isinstance(v, ast.BinOp):
             a, b = self.value(v.a), self.value(v.b)
             w = self.width_of(v)
-            own = all(flag_condition(v.opcode, f, a, b, w) for f in v.flags)
+            own = not binop_poisons(v.opcode, v.flags, a, b, w)
             return own and self.poison_free(v.a) and self.poison_free(v.b)
         if isinstance(v, ast.Select):
             chosen = v.a if self.value(v.c) else v.b
@@ -363,30 +211,22 @@ class ConcreteTemplate:
                           must_choice: Dict[int, bool]) -> bool:
         """φ at this point, reading approximated analyses from
         *must_choice* (keyed by ``id(PredCall)``)."""
-        if isinstance(pred, PredTrue):
-            return True
-        if isinstance(pred, PredNot):
-            return not self.eval_precondition(pred.p, must_choice)
-        if isinstance(pred, PredAnd):
-            return all(self.eval_precondition(p, must_choice) for p in pred.ps)
-        if isinstance(pred, PredOr):
-            return any(self.eval_precondition(p, must_choice) for p in pred.ps)
-        if isinstance(pred, PredCmp):
-            a = self.value(pred.a)
-            b = self.value(pred.b)
-            return _PRED_CMP[pred.op](a, b, self.width_of(pred.a))
-        if isinstance(pred, PredCall):
-            if pred.kind == SYNTACTIC:
+        def atom(p: Predicate) -> bool:
+            if isinstance(p, PredCmp):
+                return compare(p.op, self.value(p.a), self.value(p.b),
+                               self.width_of(p.a))
+            if p.kind == SYNTACTIC:
                 return True
-            if id(pred) in must_choice:
-                return must_choice[id(pred)]
-            return self.semantic_condition(pred)
-        raise ConcreteUnsupported("predicate %r" % (pred,))
+            if id(p) in must_choice:
+                return must_choice[id(p)]
+            return self.semantic_condition(p)
+
+        return evaluate(pred, atom)
 
     def semantic_condition(self, call: PredCall) -> bool:
         """The exact condition *s* of a built-in call at this point."""
         args = [self.value(a) for a in call.args]
-        return builtin_predicate(call.fn, args, self.width_of(call.args[0]))
+        return builtin_holds(call.fn, args, self.width_of(call.args[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Sequence, Tuple
 
 from .ast import AliveError, ConstantSymbol, Literal, Value
+from .intops import mask, to_signed, total_binop
 
 # Binary operator surface syntax -> canonical op tag
 BINOP_TOKENS = {
@@ -50,6 +51,9 @@ BINOP_TOKENS = {
 }
 
 UNOP_TOKENS = {"-": "neg", "~": "not"}
+
+# binary operators evaluate as the instructions' SMT-LIB totalizations
+_BINOPS = frozenset(BINOP_TOKENS.values())
 
 FUNCTIONS: Dict[str, int] = {
     "abs": 1,
@@ -96,15 +100,6 @@ def is_constant_value(v: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _mask(w: int) -> int:
-    return (1 << w) - 1
-
-
-def _signed(x: int, w: int) -> int:
-    x &= _mask(w)
-    return x - (1 << w) if x >= 1 << (w - 1) else x
-
-
 def _floor_log2(x: int) -> int:
     return x.bit_length() - 1 if x > 0 else 0
 
@@ -117,71 +112,34 @@ def eval_constexpr(expr: Value, width: int,
     the bit width of an arbitrary value's type).
     """
     if isinstance(expr, Literal):
-        return expr.value & _mask(width)
+        return expr.value & mask(width)
     if isinstance(expr, ConstantSymbol):
-        return lookup(expr) & _mask(width)
+        return lookup(expr) & mask(width)
     if not isinstance(expr, ConstExpr):
         raise AliveError("not a constant expression: %r" % (expr,))
 
     op = expr.op
     if op == "width":
-        return lookup(expr) & _mask(width)  # resolved by the caller
+        return lookup(expr) & mask(width)  # resolved by the caller
 
     vals = [eval_constexpr(a, width, lookup) for a in expr.args]
     if op == "neg":
-        return (-vals[0]) & _mask(width)
+        return (-vals[0]) & mask(width)
     if op == "not":
-        return (~vals[0]) & _mask(width)
-    if op == "add":
-        return (vals[0] + vals[1]) & _mask(width)
-    if op == "sub":
-        return (vals[0] - vals[1]) & _mask(width)
-    if op == "mul":
-        return (vals[0] * vals[1]) & _mask(width)
-    if op == "udiv":
-        return _mask(width) if vals[1] == 0 else vals[0] // vals[1]
-    if op == "sdiv":
-        a, b = _signed(vals[0], width), _signed(vals[1], width)
-        if b == 0:
-            return (1 if a < 0 else -1) & _mask(width)
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        return q & _mask(width)
-    if op == "urem":
-        return vals[0] if vals[1] == 0 else vals[0] % vals[1]
-    if op == "srem":
-        a, b = _signed(vals[0], width), _signed(vals[1], width)
-        if b == 0:
-            return a & _mask(width)
-        r = abs(a) % abs(b)
-        return (-r if a < 0 else r) & _mask(width)
-    if op == "shl":
-        return 0 if vals[1] >= width else (vals[0] << vals[1]) & _mask(width)
-    if op == "lshr":
-        return 0 if vals[1] >= width else vals[0] >> vals[1]
-    if op == "ashr":
-        s = _signed(vals[0], width)
-        if vals[1] >= width:
-            return _mask(width) if s < 0 else 0
-        return (s >> vals[1]) & _mask(width)
-    if op == "and":
-        return vals[0] & vals[1]
-    if op == "or":
-        return vals[0] | vals[1]
-    if op == "xor":
-        return vals[0] ^ vals[1]
+        return (~vals[0]) & mask(width)
+    if op in _BINOPS:
+        return total_binop(op, vals[0], vals[1], width)
     if op == "abs":
-        s = _signed(vals[0], width)
-        return (-s if s < 0 else s) & _mask(width)
+        s = to_signed(vals[0], width)
+        return (-s if s < 0 else s) & mask(width)
     if op == "log2":
-        return _floor_log2(vals[0]) & _mask(width)
+        return _floor_log2(vals[0]) & mask(width)
     if op == "umax":
         return max(vals[0], vals[1])
     if op == "umin":
         return min(vals[0], vals[1])
     if op == "smax":
-        return max(vals, key=lambda v: _signed(v, width))
+        return max(vals, key=lambda v: to_signed(v, width))
     if op == "smin":
-        return min(vals, key=lambda v: _signed(v, width))
+        return min(vals, key=lambda v: to_signed(v, width))
     raise AliveError("unknown constant-expression op %r" % op)

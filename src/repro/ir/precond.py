@@ -20,15 +20,25 @@ Each built-in carries:
     constrain runtime values at all (encoded as true for verification,
     honored by the pattern matcher).
 
-The semantic conditions themselves are built in
-:mod:`repro.core.semantics` (they need the SMT context).
+Every built-in's semantic condition exists twice, once per side of the
+fuzzer's cross-check: symbolically in
+:func:`repro.core.semantics.builtin_semantic_condition`, which the
+verifier proves rules against, and concretely here in
+:func:`builtin_holds`, together with the comparisons (:func:`compare`)
+and one three-valued connective walker (:func:`evaluate`).  Every
+module that decides a precondition on concrete values — the peephole
+matcher, the lint constant folder, precondition inference, the
+abstract tier's witnesses and the fuzzer's concrete oracle — runs these
+and supplies only its own atoms; a test checks the two sides agree on
+every input at widths 1 to 4.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .ast import AliveError, Value
+from .intops import binop_poisons, icmp, mask, to_signed
 
 PRECISE = "precise"
 MUST = "must"
@@ -53,7 +63,59 @@ BUILTIN_PREDICATES = {
     "isConstant": (1, SYNTACTIC),
 }
 
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=", "u<", "u<=", "u>", "u>=")
+#: precondition comparison -> the icmp condition it means (the plain
+#: orderings are signed)
+CMP_TO_ICMP = {
+    "==": "eq", "!=": "ne",
+    "<": "slt", "<=": "sle", ">": "sgt", ">=": "sge",
+    "u<": "ult", "u<=": "ule", "u>": "ugt", "u>=": "uge",
+}
+CMP_OPS = tuple(CMP_TO_ICMP)
+
+
+def builtin_holds(fn: str, args: Sequence[int], w: int) -> bool:
+    """The exact semantic condition *s* of a built-in, concretely.
+
+    *args* are unsigned values of the first argument's width *w*.
+    """
+    a = args[0] & mask(w)
+    if fn == "isPowerOf2":
+        return a != 0 and a & (a - 1) == 0
+    if fn == "isPowerOf2OrZero":
+        return a & (a - 1) & mask(w) == 0
+    if fn == "isSignBit":
+        return a == 1 << (w - 1)
+    if fn == "isShiftedMask":
+        filled = a | ((a - 1) & mask(w))
+        return a != 0 and filled & ((filled + 1) & mask(w)) == 0
+    if fn == "MaskedValueIsZero":
+        return a & args[1] & mask(w) == 0
+    sa = to_signed(a, w)
+    sb = to_signed(args[1], w) if len(args) > 1 else 0
+    b = args[1] & mask(w) if len(args) > 1 else 0
+    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    if fn == "WillNotOverflowSignedAdd":
+        return lo <= sa + sb <= hi
+    if fn == "WillNotOverflowUnsignedAdd":
+        return a + b < (1 << w)
+    if fn == "WillNotOverflowSignedSub":
+        return lo <= sa - sb <= hi
+    if fn == "WillNotOverflowUnsignedSub":
+        return a >= b
+    if fn == "WillNotOverflowSignedMul":
+        return lo <= sa * sb <= hi
+    if fn == "WillNotOverflowUnsignedMul":
+        return a * b < (1 << w)
+    if fn == "WillNotOverflowSignedShl":
+        return not binop_poisons("shl", ("nsw",), a, b, w)
+    if fn == "WillNotOverflowUnsignedShl":
+        return not binop_poisons("shl", ("nuw",), a, b, w)
+    raise AliveError("built-in %r has no concrete semantics" % fn)
+
+
+def compare(op: str, a: int, b: int, w: int) -> bool:
+    """A precondition comparison on *w*-bit values."""
+    return icmp(CMP_TO_ICMP[op], a, b, w) == 1
 
 
 class Predicate:
@@ -160,6 +222,36 @@ class PredCall(Predicate):
         from .printer import constexpr_str
 
         return "%s(%s)" % (self.fn, ", ".join(constexpr_str(a) for a in self.args))
+
+
+def evaluate(pred: Predicate,
+             atom: Callable[["Predicate"], Optional[bool]]) -> Optional[bool]:
+    """Evaluate a precondition's connectives over *atom*'s answers.
+
+    *atom* decides each :class:`PredCmp` and :class:`PredCall` and may
+    answer ``None`` (unknown); the connectives follow Kleene's
+    three-valued logic.  When *atom* never answers ``None`` this is
+    plain Boolean logic that stops at the first false conjunct or true
+    disjunct, exactly as ``all``/``any`` would.
+    """
+    if isinstance(pred, PredTrue):
+        return True
+    if isinstance(pred, PredNot):
+        inner = evaluate(pred.p, atom)
+        return None if inner is None else not inner
+    if isinstance(pred, (PredAnd, PredOr)):
+        decisive = isinstance(pred, PredOr)
+        result = not decisive
+        for p in pred.ps:
+            value = evaluate(p, atom)
+            if value is None:
+                result = None
+            elif value == decisive:
+                return decisive
+        return result
+    if isinstance(pred, (PredCmp, PredCall)):
+        return atom(pred)
+    raise AliveError("cannot evaluate predicate %r" % (pred,))
 
 
 def _paren(p: Predicate) -> str:

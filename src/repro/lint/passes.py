@@ -8,8 +8,9 @@ single clauses) that constant-fold to a fixed truth value.
 The constant folder is deliberately three-valued: ``_fold`` returns
 ``True``/``False`` only when the clause evaluates from literals alone
 — at *every* probed bit width — and ``None`` as soon as an abstract
-constant, an unsupported builtin, or a width disagreement appears.
-Anything the folder cannot decide is left to the SMT tier.
+constant, a syntactic builtin, or a width disagreement appears.
+Anything the folder cannot decide is left to the SMT tier.  Literal
+atoms are decided by the concrete semantics of :mod:`repro.ir.precond`.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..engine.jobs import normalized_text
 from ..ir import ast
-from ..ir.constexpr import ConstExpr, eval_constexpr, _mask, _signed
+from ..ir.constexpr import ConstExpr, eval_constexpr
+from ..ir.intops import mask
 from ..ir.precond import (
+    SYNTACTIC,
     Predicate,
     PredAnd,
     PredCall,
@@ -27,6 +30,9 @@ from ..ir.precond import (
     PredNot,
     PredOr,
     PredTrue,
+    builtin_holds,
+    compare,
+    evaluate,
 )
 from .findings import Finding, finding_id, SEV_ERROR, SEV_INFO, SEV_WARNING
 
@@ -200,7 +206,7 @@ def _eval_const(v: ast.Value, width: int) -> Optional[int]:
     if isinstance(v, ast.Literal):
         ty = getattr(v, "ty", None)
         w = ty.width if ty is not None and hasattr(ty, "width") else width
-        return v.value & _mask(w)
+        return v.value & mask(w)
     if isinstance(v, ConstExpr):
         try:
             return eval_constexpr(v, width, _lookup_fail)
@@ -213,79 +219,20 @@ def _eval_const(v: ast.Value, width: int) -> Optional[int]:
 
 def _fold_at(pred: Predicate, width: int) -> Optional[bool]:
     """Three-valued fold of one predicate at one width."""
-    if isinstance(pred, PredTrue):
-        return True
-    if isinstance(pred, PredAnd):
-        vals = [_fold_at(p, width) for p in pred.ps]
-        if any(v is False for v in vals):
-            return False
-        if all(v is True for v in vals):
-            return True
-        return None
-    if isinstance(pred, PredOr):
-        vals = [_fold_at(p, width) for p in pred.ps]
-        if any(v is True for v in vals):
-            return True
-        if all(v is False for v in vals):
-            return False
-        return None
-    if isinstance(pred, PredNot):
-        inner = _fold_at(pred.p, width)
-        return None if inner is None else not inner
-    if isinstance(pred, PredCmp):
-        a = _eval_const(pred.a, width)
-        b = _eval_const(pred.b, width)
-        if a is None or b is None:
-            return None
-        if pred.op in ("<", "<=", ">", ">="):  # plain comparisons are signed
-            a, b = _signed(a, width), _signed(b, width)
-        if pred.op == "==":
-            return a == b
-        if pred.op == "!=":
-            return a != b
-        if pred.op in ("<", "u<"):
-            return a < b
-        if pred.op in ("<=", "u<="):
-            return a <= b
-        if pred.op in (">", "u>"):
-            return a > b
-        if pred.op in (">=", "u>="):
-            return a >= b
-        return None
-    if isinstance(pred, PredCall):
-        return _fold_call(pred, width)
-    return None
+    return evaluate(pred, lambda atom: _fold_atom(atom, width))
 
 
-def _fold_call(pred: PredCall, width: int) -> Optional[bool]:
-    """Exact evaluation of the width-independent builtins on literals."""
-    if pred.fn in ("hasOneUse", "isConstant"):
-        return None  # syntactic: depends on the matched program
-    if pred.fn.startswith("WillNotOverflow"):
-        return None  # arguments are typically abstract; leave to SMT
-    args = [_eval_const(a, width) for a in pred.args]
-    if any(a is None for a in args):
+def _fold_atom(atom: Predicate, width: int) -> Optional[bool]:
+    """Exact truth of an atom whose arguments are all literals."""
+    if isinstance(atom, PredCall) and atom.kind == SYNTACTIC:
+        return None  # depends on the matched program
+    args = [atom.a, atom.b] if isinstance(atom, PredCmp) else atom.args
+    vals = [_eval_const(a, width) for a in args]
+    if any(v is None for v in vals):
         return None
-    x = args[0]
-    if pred.fn == "isPowerOf2":
-        return x != 0 and (x & (x - 1)) == 0
-    if pred.fn == "isPowerOf2OrZero":
-        return (x & (x - 1)) == 0
-    if pred.fn == "isSignBit":
-        return x == (1 << (width - 1))
-    if pred.fn == "isShiftedMask":
-        # a contiguous run of ones, somewhere in the word
-        return _is_shifted_mask(x)
-    if pred.fn == "MaskedValueIsZero" and len(args) == 2:
-        return (x & args[1]) == 0
-    return None
-
-
-def _is_shifted_mask(x: int) -> bool:
-    if x == 0:
-        return False
-    low = x & -x
-    return ((x // low) & ((x // low) + 1)) == 0
+    if isinstance(atom, PredCmp):
+        return compare(atom.op, vals[0], vals[1], width)
+    return builtin_holds(atom.fn, vals, width)
 
 
 def _fold(pred: Predicate) -> Optional[bool]:

@@ -32,7 +32,9 @@ from ..absint.transfer import (
     transfer_icmp,
     transfer_select,
 )
+from ..ir import intops
 from ..ir.module import MArg, MConst, MFunction, MInstr, MValue
+from ..ir.precond import builtin_holds
 
 KnownBits = Tuple[int, int]  # (known_zero, known_one)
 
@@ -41,10 +43,6 @@ _BINOPS = frozenset((
     "shl", "lshr", "ashr", "udiv", "sdiv", "urem", "srem",
 ))
 _CONVOPS = frozenset(("zext", "sext", "trunc"))
-
-
-def _mask(w: int) -> int:
-    return (1 << w) - 1
 
 
 class KnownBitsAnalysis:
@@ -109,11 +107,11 @@ class Analyses:
     def masked_value_is_zero(self, v: MValue, mask: int) -> bool:
         """LLVM's MaskedValueIsZero: all bits of *mask* known zero in v."""
         kz, _ = self.known_bits.known(v)
-        return (kz & mask) == (mask & _mask(v.width))
+        return (kz & mask) == (mask & intops.mask(v.width))
 
     def is_power_of_2(self, v: MValue) -> bool:
         if isinstance(v, MConst):
-            return v.value != 0 and (v.value & (v.value - 1)) == 0
+            return builtin_holds("isPowerOf2", [v.value], v.width)
         if isinstance(v, MInstr) and v.opcode == "shl":
             # `shl 1, %s` is a power of two on every defined execution:
             # a shift amount >= width is UB, so s < w and 1 << s is a
@@ -124,7 +122,7 @@ class Analyses:
                 return True
         kz, ko = self.known_bits.known(v)
         # exactly one bit not known-zero, and that bit known-one
-        unknown_or_one = _mask(v.width) & ~kz
+        unknown_or_one = intops.mask(v.width) & ~kz
         return unknown_or_one != 0 and (unknown_or_one & (unknown_or_one - 1)) == 0 \
             and (ko & unknown_or_one) == unknown_or_one
 

@@ -7,6 +7,14 @@ the dataflow analyses, and fires the rewrite.  Hosting the matcher in
 Python lets the reproduction run the "LLVM+Alive" experiments of §6.4
 without an LLVM checkout; the emitted C++ (:mod:`repro.codegen.cpp`)
 mirrors what this module does operationally.
+
+The precondition is decided by :func:`repro.ir.precond.evaluate` over
+the matcher's own atoms: comparisons and built-ins whose arguments are
+all bound constants run the one concrete semantics of
+:mod:`repro.ir.precond` (the same that the fuzzer checks against the
+verifier's symbolic conditions); the syntactic built-ins and the
+built-ins over non-constant values ask :class:`~repro.opt.analysis.Analyses`,
+and are false where no analysis answers them.
 """
 
 from __future__ import annotations
@@ -15,15 +23,9 @@ from typing import Dict, Optional
 
 from ..ir import ast
 from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
-from ..ir.module import MConst, MFunction, MInstr, MValue
+from ..ir.module import MConst, MInstr, MValue
 from ..ir.precond import (
-    PredAnd,
-    PredCall,
-    PredCmp,
-    PredNot,
-    PredOr,
-    PredTrue,
-    Predicate,
+    PredCall, PredCmp, Predicate, builtin_holds, compare, evaluate,
 )
 from .analysis import Analyses
 
@@ -39,14 +41,13 @@ class Match:
         return "Match(%s, %d bindings)" % (self.root.name, len(self.bindings))
 
 
-_SIGNED_CMPS = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle",
-                ">": "sgt", ">=": "sge"}
-_UNSIGNED_CMPS = {"u<": "ult", "u<=": "ule", "u>": "ugt", "u>=": "uge"}
-
-
-def _signed(x: int, w: int) -> int:
-    x &= (1 << w) - 1
-    return x - (1 << w) if x >= 1 << (w - 1) else x
+#: the :class:`Analyses` method answering a built-in when an argument
+#: is not a constant; the other built-ins are false on such arguments
+_ANALYSIS_QUERIES = {
+    "isPowerOf2": "is_power_of_2",
+    "isPowerOf2OrZero": "is_power_of_2",
+    "WillNotOverflowSignedAdd": "will_not_overflow_signed_add",
+}
 
 
 class TemplateMatcher:
@@ -77,7 +78,8 @@ class TemplateMatcher:
             return None
         if not self._widths_feasible(observations):
             return None
-        if not self._eval_pred(self.t.pre, bindings, analyses):
+        if not evaluate(self.t.pre,
+                        lambda atom: self._atom(atom, bindings, analyses)):
             return None
         return Match(inst, bindings)
 
@@ -182,7 +184,7 @@ class TemplateMatcher:
             try:
                 expected = eval_constexpr(
                     pattern, value.width,
-                    lambda sym: _require_const(bindings, sym),
+                    lambda sym: _resolve_const(bindings, sym),
                 )
             except _UnboundConstant:
                 return False
@@ -245,32 +247,20 @@ class TemplateMatcher:
 
     # ------------------------------------------------------------------
 
-    def _eval_pred(self, pred: Predicate, bindings: Dict[str, MValue],
-                   analyses: Analyses) -> bool:
-        if isinstance(pred, PredTrue):
-            return True
-        if isinstance(pred, PredNot):
-            return not self._eval_pred(pred.p, bindings, analyses)
-        if isinstance(pred, PredAnd):
-            return all(self._eval_pred(p, bindings, analyses) for p in pred.ps)
-        if isinstance(pred, PredOr):
-            return any(self._eval_pred(p, bindings, analyses) for p in pred.ps)
-        if isinstance(pred, PredCmp):
-            width = self._width_of(pred.a, bindings) or self._width_of(pred.b, bindings)
+    def _atom(self, atom: Predicate, bindings: Dict[str, MValue],
+              analyses: Analyses) -> bool:
+        if isinstance(atom, PredCmp):
+            width = (self._width_of(atom.a, bindings)
+                     or self._width_of(atom.b, bindings))
             if width is None:
                 return False
             try:
-                a = self._eval_const(pred.a, width, bindings)
-                b = self._eval_const(pred.b, width, bindings)
+                a = self._eval_const(atom.a, width, bindings)
+                b = self._eval_const(atom.b, width, bindings)
             except _UnboundConstant:
                 return False
-            if pred.op in _SIGNED_CMPS:
-                sa, sb = _signed(a, width), _signed(b, width)
-                return _do_cmp(pred.op.strip("u"), sa, sb)
-            return _do_cmp(pred.op[1:], a, b)
-        if isinstance(pred, PredCall):
-            return self._eval_call(pred, bindings, analyses)
-        raise ast.AliveError("cannot evaluate predicate %r" % pred)
+            return compare(atom.op, a, b, width)
+        return self._call_holds(atom, bindings, analyses)
 
     def _width_of(self, e: ast.Value, bindings: Dict[str, MValue]) -> Optional[int]:
         if isinstance(e, (ast.Input, ast.ConstantSymbol, ast.Instruction)):
@@ -289,63 +279,34 @@ class TemplateMatcher:
             e, width, lambda sym: _resolve_const(bindings, sym)
         )
 
-    def _eval_call(self, pred: PredCall, bindings: Dict[str, MValue],
-                   analyses: Analyses) -> bool:
-        fn = pred.fn
-
-        def arg_value(i: int) -> Optional[MValue]:
-            a = pred.args[i]
-            if isinstance(a, (ast.Input, ast.ConstantSymbol, ast.Instruction)):
-                return bindings.get(a.name)
-            return None
-
-        def arg_const(i: int, width: int) -> Optional[int]:
-            try:
-                return self._eval_const(pred.args[i], width, bindings)
-            except (_UnboundConstant, ast.AliveError):
-                return None
-
+    def _call_holds(self, call: PredCall, bindings: Dict[str, MValue],
+                    analyses: Analyses) -> bool:
+        fn = call.fn
+        args = [
+            bindings.get(a.name)
+            if isinstance(a, (ast.Input, ast.ConstantSymbol, ast.Instruction))
+            else None
+            for a in call.args
+        ]
         if fn == "hasOneUse":
-            v = arg_value(0)
-            return v is not None and analyses.has_one_use(v)
+            return args[0] is not None and analyses.has_one_use(args[0])
         if fn == "isConstant":
-            v = arg_value(0)
-            return isinstance(v, MConst)
-        if fn in ("isPowerOf2", "isPowerOf2OrZero"):
-            v = arg_value(0)
-            if isinstance(v, MConst):
-                ok_zero = fn.endswith("OrZero") and v.value == 0
-                return ok_zero or (
-                    v.value != 0 and v.value & (v.value - 1) == 0
-                )
-            if v is not None:
-                return analyses.is_power_of_2(v)
-            return False
-        if fn == "isSignBit":
-            v = arg_value(0)
-            return isinstance(v, MConst) and v.value == 1 << (v.width - 1)
-        if fn == "isShiftedMask":
-            v = arg_value(0)
-            if not isinstance(v, MConst) or v.value == 0:
-                return False
-            filled = v.value | (v.value - 1)
-            return (filled & (filled + 1)) == 0
+            return isinstance(args[0], MConst)
         if fn == "MaskedValueIsZero":
-            v = arg_value(0)
+            v = args[0]
             if v is None:
                 return False
-            mask = arg_const(1, v.width)
-            if mask is None:
+            try:
+                mask = self._eval_const(call.args[1], v.width, bindings)
+            except (_UnboundConstant, ast.AliveError):
                 return False
             return analyses.masked_value_is_zero(v, mask)
-        if fn.startswith("WillNotOverflow"):
-            v0, v1 = arg_value(0), arg_value(1)
-            if isinstance(v0, MConst) and isinstance(v1, MConst):
-                return _const_will_not_overflow(fn, v0, v1)
-            if fn == "WillNotOverflowSignedAdd" and v0 is not None and v1 is not None:
-                return analyses.will_not_overflow_signed_add(v0, v1)
+        if all(isinstance(v, MConst) for v in args):
+            return builtin_holds(fn, [v.value for v in args], args[0].width)
+        query = _ANALYSIS_QUERIES.get(fn)
+        if query is None or any(v is None for v in args):
             return False
-        raise ast.AliveError("predicate %r not implemented in matcher" % fn)
+        return getattr(analyses, query)(*args)
 
 
 class _UnboundConstant(Exception):
@@ -358,45 +319,3 @@ def _resolve_const(bindings: Dict[str, MValue], sym: ast.Value) -> int:
         raise _UnboundConstant(sym.name)
     return bound.value
 
-
-def _require_const(bindings: Dict[str, MValue], sym: ast.Value) -> int:
-    return _resolve_const(bindings, sym)
-
-
-def _do_cmp(op: str, a: int, b: int) -> bool:
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(op)
-
-
-def _const_will_not_overflow(fn: str, a: MConst, b: MConst) -> bool:
-    w = a.width
-    sa, sb = _signed(a.value, w), _signed(b.value, w)
-    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
-    if fn == "WillNotOverflowSignedAdd":
-        return lo <= sa + sb <= hi
-    if fn == "WillNotOverflowUnsignedAdd":
-        return a.value + b.value < (1 << w)
-    if fn == "WillNotOverflowSignedSub":
-        return lo <= sa - sb <= hi
-    if fn == "WillNotOverflowUnsignedSub":
-        return a.value >= b.value
-    if fn == "WillNotOverflowSignedMul":
-        return lo <= sa * sb <= hi
-    if fn == "WillNotOverflowUnsignedMul":
-        return a.value * b.value < (1 << w)
-    if fn == "WillNotOverflowSignedShl":
-        return sb < w and lo <= (sa << sb) <= hi
-    if fn == "WillNotOverflowUnsignedShl":
-        return sb < w and (a.value << sb) < (1 << w)
-    raise ValueError(fn)

@@ -5,12 +5,7 @@ Implements the polymorphic type abstraction of the Alive language
 """
 
 from .constraints import ConstraintSystem, TypeConstraintError
-from .enumerate import (
-    count_assignments,
-    enumerate_assignments,
-    first_assignment,
-    preferred_widths,
-)
+from .enumerate import enumerate_assignments, preferred_widths
 from .types import (
     VOID,
     ArrayType,
@@ -30,8 +25,6 @@ __all__ = [
     "ConstraintSystem",
     "TypeConstraintError",
     "enumerate_assignments",
-    "first_assignment",
-    "count_assignments",
     "preferred_widths",
     "Type",
     "IntType",

@@ -29,7 +29,6 @@ from .constraints import (
     SAME_WIDTH,
     SMALLER,
     ConstraintSystem,
-    TypeConstraintError,
 )
 from .types import (
     FP_KINDS,
@@ -97,9 +96,9 @@ def enumerate_assignments(
     """Yield every feasible type assignment as a var -> Type map.
 
     The assignment maps *all* variables (not only class representatives).
-    Raises :class:`TypeConstraintError` if the system mentions a FIXED
-    type that conflicts with its class's other constraints in every
-    assignment — callers typically treat "no assignments" as that error.
+    An infeasible system — say, a FIXED type that conflicts with its
+    class's other constraints — yields nothing; callers treat "no
+    assignments" as a type error.
     """
     ctx = ctx or TypeContext()
     classes = system.classes()
@@ -200,17 +199,3 @@ def enumerate_assignments(
         assignment.pop(cls, None)
 
     yield from backtrack(0)
-
-
-def first_assignment(
-    system: ConstraintSystem, max_width: int = 8, **kwargs
-) -> Dict[str, Type]:
-    """The first feasible assignment, or raise TypeConstraintError."""
-    for assignment in enumerate_assignments(system, max_width, **kwargs):
-        return assignment
-    raise TypeConstraintError("no feasible type assignment")
-
-
-def count_assignments(system: ConstraintSystem, max_width: int = 8, **kwargs) -> int:
-    """Number of feasible assignments (used by tests and the CLI)."""
-    return sum(1 for _ in enumerate_assignments(system, max_width, **kwargs))

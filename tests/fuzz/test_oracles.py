@@ -1,5 +1,8 @@
 """The differential oracles and the concrete refinement checker."""
 
+import ast as pyast
+import itertools
+import os
 import random
 
 import pytest
@@ -15,13 +18,19 @@ from repro.fuzz import (
     default_rule_config,
     revalidate_valid,
 )
-from repro.fuzz.concrete import (
-    defined_condition,
-    flag_condition,
-    total_binop,
-)
+import repro
+from repro.core.semantics import _PRED_CMP_TERM, builtin_semantic_condition
 from repro.ir import ast, parse_transformations
+from repro.ir.intops import binop_poisons, defined, total_binop
+from repro.ir.precond import (
+    BUILTIN_PREDICATES,
+    CMP_OPS,
+    SYNTACTIC,
+    builtin_holds,
+    compare,
+)
 from repro.smt import terms as T
+from repro.smt.eval import evaluate
 
 CONFIG = default_rule_config()
 
@@ -91,12 +100,12 @@ def test_total_binop_matches_smtlib_totalization():
 
 def test_defined_condition_table1():
     w = 4
-    assert not defined_condition("udiv", 1, 0, w)
-    assert defined_condition("udiv", 1, 3, w)
+    assert not defined("udiv", 1, 0, w)
+    assert defined("udiv", 1, 3, w)
     # INT_MIN / -1 overflows
-    assert not defined_condition("sdiv", 8, 15, w)
-    assert not defined_condition("shl", 1, 4, w)
-    assert defined_condition("shl", 1, 3, w)
+    assert not defined("sdiv", 8, 15, w)
+    assert not defined("shl", 1, 4, w)
+    assert defined("shl", 1, 3, w)
 
 
 def test_flag_condition_shl_nsw_uses_totalized_ops():
@@ -108,7 +117,83 @@ def test_flag_condition_shl_nsw_uses_totalized_ops():
                T.bv_const(1, w))
     from repro.smt.eval import holds
 
-    assert flag_condition("shl", "nsw", 1, 9, w) == holds(smt, {})
+    assert (not binop_poisons("shl", ("nsw",), 1, 9, w)) == holds(smt, {})
+
+
+_SEMANTIC_BUILTINS = sorted(fn for fn, (_, kind) in BUILTIN_PREDICATES.items()
+                            if kind != SYNTACTIC)
+
+
+@pytest.mark.parametrize("fn", _SEMANTIC_BUILTINS)
+def test_builtin_holds_matches_semantic_condition(fn):
+    # the concrete built-ins the matcher, lint, precondition inference
+    # and the fuzzer run are the conditions the verifier proves against
+    arity = BUILTIN_PREDICATES[fn][0]
+    for w in range(1, 5):
+        args = [T.bv_var("a%d" % i, w) for i in range(arity)]
+        cond = builtin_semantic_condition(fn, args)
+        for vals in itertools.product(range(1 << w), repeat=arity):
+            expected = bool(evaluate(cond, dict(zip(args, vals))))
+            assert builtin_holds(fn, list(vals), w) == expected, (w, vals)
+
+
+@pytest.mark.parametrize("op", CMP_OPS)
+def test_compare_matches_semantic_comparison(op):
+    for w in range(1, 5):
+        a, b = T.bv_var("a", w), T.bv_var("b", w)
+        cond = _PRED_CMP_TERM[op](a, b)
+        for x, y in itertools.product(range(1 << w), repeat=2):
+            expected = bool(evaluate(cond, {a: x, b: y}))
+            assert compare(op, x, y, w) == expected, (w, x, y)
+
+
+#: the modules allowed to spell out what a WillNotOverflow* built-in
+#: means: concretely, symbolically, abstractly and as C++ text
+_BUILTIN_SEMANTICS_HOMES = ("ir/precond.py", "core/semantics.py", "absint/",
+                            "codegen/cpp.py")
+
+
+def _overflow_name_tests(path):
+    """Line numbers in *path* that compare a name to a
+    ``"WillNotOverflow..."`` string (``==``, ``in``, ``startswith``)."""
+    with open(path) as handle:
+        tree = pyast.parse(handle.read(), path)
+
+    def named(node):
+        items = node.elts if isinstance(
+            node, (pyast.Tuple, pyast.List, pyast.Set)) else [node]
+        return any(isinstance(i, pyast.Constant) and isinstance(i.value, str)
+                   and i.value.startswith("WillNotOverflow") for i in items)
+
+    lines = []
+    for node in pyast.walk(tree):
+        if isinstance(node, pyast.Compare):
+            operands = [node.left] + node.comparators
+        elif (isinstance(node, pyast.Call)
+              and isinstance(node.func, pyast.Attribute)
+              and node.func.attr in ("startswith", "endswith")):
+            operands = node.args
+        else:
+            continue
+        if any(named(o) for o in operands):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_builtin_semantics_defined_in_one_place_per_side():
+    root = os.path.dirname(repro.__file__)
+    found = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root).replace(os.sep, "/")
+            if not name.endswith(".py") or rel.startswith(
+                    _BUILTIN_SEMANTICS_HOMES):
+                continue
+            lines = _overflow_name_tests(path)
+            if lines:
+                found[rel] = lines
+    assert found == {}
 
 
 # ---------------------------------------------------------------------------

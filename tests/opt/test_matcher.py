@@ -189,3 +189,30 @@ class TestPreconditionEvaluation:
         pow_ = fn.add("urem", [fn.args[0], MConst(8, 8)], 8)
         assert m.match(npow, Analyses(fn)) is not None
         assert m.match(pow_, Analyses(fn)) is None
+
+
+class TestShlOverflowBuiltins:
+    """Constant arguments take the verifier's semantics of the
+    ``WillNotOverflow*Shl`` built-ins, shift amounts >= width included."""
+
+    @pytest.mark.parametrize("fn,flag", [
+        ("WillNotOverflowSignedShl", "nsw"),
+        ("WillNotOverflowUnsignedShl", "nuw"),
+    ])
+    def test_fires_exactly_where_the_builtin_holds(self, fn, flag):
+        from repro.ir.precond import builtin_holds
+        from repro.opt import PeepholePass, compile_opts
+
+        t = parse_transformation(
+            "Name: shl-%s\nPre: %s(C1, C2)\n%%r = shl C1, C2\n=>\n"
+            "%%r = shl %s C1, C2" % (flag, fn, flag))
+        peephole = PeepholePass(compile_opts([t]), max_iterations=1)
+        wrong = []
+        for a in range(16):
+            for b in range(16):
+                f = MFunction("f", [])
+                f.ret = f.add("shl", [MConst(a, 4), MConst(b, 4)], 4)
+                fired = peephole.run_function(f) == 1
+                if fired != builtin_holds(fn, [a, b], 4):
+                    wrong.append((a, b))
+        assert wrong == []

@@ -1,16 +1,11 @@
 """Tests for the type constraint system and feasible-type enumeration
 (paper §3.2)."""
 
-import pytest
-
 from repro.typing import (
     ConstraintSystem,
     IntType,
     PointerType,
-    TypeConstraintError,
-    count_assignments,
     enumerate_assignments,
-    first_assignment,
     preferred_widths,
 )
 
@@ -89,14 +84,13 @@ class TestEnumeration:
     def test_fixed(self):
         s = ConstraintSystem()
         s.fixed("a", IntType(7))
-        assert first_assignment(s, max_width=4)["a"] is IntType(7)
+        assert next(enumerate_assignments(s, max_width=4))["a"] is IntType(7)
 
     def test_fixed_conflict_is_infeasible(self):
         s = ConstraintSystem()
         s.fixed("a", IntType(7))
         s.bool_("a")
-        with pytest.raises(TypeConstraintError):
-            first_assignment(s, max_width=8)
+        assert list(enumerate_assignments(s, max_width=8)) == []
 
     def test_smaller(self):
         s = ConstraintSystem()
@@ -105,7 +99,7 @@ class TestEnumeration:
         s.smaller("a", "b")
         for assignment in enumerate_assignments(s, max_width=4):
             assert assignment["a"].width < assignment["b"].width
-        assert count_assignments(s, max_width=4) == 6  # C(4,2)
+        assert len(list(enumerate_assignments(s, max_width=4))) == 6  # C(4,2)
 
     def test_same_width_int_and_pointer(self):
         s = ConstraintSystem()
@@ -130,12 +124,12 @@ class TestEnumeration:
         s.int_("v")
         for assignment in enumerate_assignments(s, max_width=3):
             assert assignment["p"] is PointerType(assignment["v"])
-        assert count_assignments(s, max_width=3) == 3
+        assert len(list(enumerate_assignments(s, max_width=3))) == 3
 
     def test_limit(self):
         s = ConstraintSystem()
         s.int_("a")
-        assert count_assignments(s, max_width=8, limit=3) == 3
+        assert len(list(enumerate_assignments(s, max_width=8, limit=3))) == 3
 
     def test_no_pointers_flag(self):
         s = ConstraintSystem()
@@ -150,4 +144,4 @@ class TestEnumeration:
         s.int_("a")
         s.smaller("a", "b")
         s.smaller("b", "a")
-        assert count_assignments(s, max_width=8) == 0
+        assert len(list(enumerate_assignments(s, max_width=8))) == 0

@@ -313,9 +313,8 @@ def _absint_findings(t: ast.Transformation, data: dict,
             finding_id("provable-by-absint", body),
             "provable-by-absint", SEV_INFO, t.name,
             "refinement is discharged by the abstract-interpretation "
-            "tier alone at all %d feasible type assignment(s); the "
-            "engine fast path always proves this rule without a solver "
-            "query" % data.get("assignments", 0),
+            "tier alone at all %d feasible type assignment(s), without "
+            "a solver query" % data.get("assignments", 0),
             path=path, line=line, col=col,
             data={"assignments": data.get("assignments", 0)},
         ))

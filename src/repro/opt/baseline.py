@@ -16,11 +16,12 @@ under the same pass driver.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..ir import intops
 from ..ir.module import MConst, MFunction, MInstr, MValue
 from .analysis import Analyses
+from .matcher import Guard
 
 
 class NativeRule:
@@ -28,18 +29,20 @@ class NativeRule:
 
     ``fn(func, inst, analyses)`` returns a replacement value (possibly a
     fresh instruction inserted before *inst*) or None when the rule does
-    not apply.
+    not apply; it is only called on instructions with one of *opcodes*
+    (None: any opcode).
     """
 
-    def __init__(self, name: str, opcode: Optional[str],
+    def __init__(self, name: str, opcodes: Optional[Sequence[str]],
                  fn: Callable[[MFunction, MInstr, Analyses], Optional[MValue]]):
         self.name = name
-        self.root_opcode = opcode
+        self.guard = Guard(opcodes)
         self._fn = fn
 
     def try_apply(self, func: MFunction, inst: MInstr,
                   analyses: Analyses) -> bool:
-        if self.root_opcode is not None and inst.opcode != self.root_opcode:
+        opcodes = self.guard.opcodes
+        if opcodes is not None and inst.opcode not in opcodes:
             return False
         replacement = self._fn(func, inst, analyses)
         if replacement is None or replacement is inst:
@@ -63,9 +66,9 @@ def _log2(x: int) -> int:
 _RULES: List[NativeRule] = []
 
 
-def rule(name: str, opcode: Optional[str]):
+def rule(name: str, *opcodes: str):
     def deco(fn):
-        _RULES.append(NativeRule(name, opcode, fn))
+        _RULES.append(NativeRule(name, opcodes or None, fn))
         return fn
     return deco
 
@@ -111,10 +114,8 @@ def _fold_select(func, inst, analyses):
     return inst.operands[1] if c else inst.operands[2]
 
 
-@rule("fold-conv", None)
+@rule("fold-conv", "zext", "sext", "trunc")
 def _fold_conv(func, inst, analyses):
-    if inst.opcode not in ("zext", "sext", "trunc"):
-        return None
     x = _const(inst.operands[0])
     if x is None:
         return None
@@ -193,16 +194,16 @@ def _udiv_pow2(func, inst, analyses):
                     flags=flags, before=inst)
 
 
-@rule("div-one", None)
+@rule("div-one", "udiv", "sdiv")
 def _div_one(func, inst, analyses):
-    if inst.opcode in ("udiv", "sdiv") and _const(inst.operands[1]) == 1:
+    if _const(inst.operands[1]) == 1:
         return inst.operands[0]
     return None
 
 
-@rule("rem-one", None)
+@rule("rem-one", "urem", "srem")
 def _rem_one(func, inst, analyses):
-    if inst.opcode in ("urem", "srem") and _const(inst.operands[1]) == 1:
+    if _const(inst.operands[1]) == 1:
         return MConst(0, inst.width)
     return None
 
@@ -263,9 +264,9 @@ def _xor_self(func, inst, analyses):
     return None
 
 
-@rule("shift-zero", None)
+@rule("shift-zero", "shl", "lshr", "ashr")
 def _shift_zero(func, inst, analyses):
-    if inst.opcode in ("shl", "lshr", "ashr") and _const(inst.operands[1]) == 0:
+    if _const(inst.operands[1]) == 0:
         return inst.operands[0]
     return None
 

@@ -15,18 +15,28 @@ all bound constants run the one concrete semantics of
 verifier's symbolic conditions); the syntactic built-ins and the
 built-ins over non-constant values ask :class:`~repro.opt.analysis.Analyses`,
 and are false where no analysis answers them.
+
+Before any of that, the generated code switches on the root opcode and
+tests the operand opcodes.  :class:`Guard` is that switch: read from the
+source template by :func:`template_guard`, it decides on an
+instruction's :func:`instruction_key` alone, and is never stricter than
+the matcher, so :class:`~repro.opt.pass_manager.PeepholePass` can skip
+every rule whose guard rejects the key.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
+from ..core.typecheck import TypeChecker
 from ..ir import ast
 from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
 from ..ir.module import MConst, MInstr, MValue
 from ..ir.precond import (
     PredCall, PredCmp, Predicate, builtin_holds, compare, evaluate,
 )
+from ..typing.constraints import BOOL, FIXED, MIN_WIDTH, SAME_WIDTH, SMALLER
+from ..typing.types import IntType
 from .analysis import Analyses
 
 
@@ -50,20 +60,133 @@ _ANALYSIS_QUERIES = {
 }
 
 
+#: the shapes a guard asks of an operand (see :func:`_shape`); an
+#: instruction operand's shape is its ``(opcode, cond)`` pair
+ANY, CONST, NEVER = "any", "const", "never"
+#: the shape of an operand that is neither a constant nor an instruction
+ARG = "arg"
+
+_CONVERSIONS = ("zext", "sext", "trunc")
+
+#: an instruction's dispatch key: opcode, cond, flags, operand shapes
+Key = Tuple[str, Optional[str], FrozenSet[str], Tuple[object, ...]]
+
+
+def instruction_key(inst: MInstr) -> Key:
+    """The key :class:`Guard` decides on: what an InstCombine-style
+    switch sees of *inst* before it binds anything."""
+    return (inst.opcode, inst.cond, frozenset(inst.flags),
+            tuple((op.opcode, op.cond) if isinstance(op, MInstr)
+                  else CONST if isinstance(op, MConst) else ARG
+                  for op in inst.operands))
+
+
+class Guard:
+    """A cheap test on an instruction's key that every instruction a
+    rule can fire on passes.
+
+    Args:
+        opcodes: the root opcodes (None: any instruction).
+        cond: the icmp predicate the root must have (None: any).
+        flags: the flags the root must carry.
+        operands: the shape each direct operand must have, as
+            :func:`_shape` gives it.
+    """
+
+    def __init__(self, opcodes: Optional[Iterable[str]],
+                 cond: Optional[str] = None, flags: Iterable[str] = (),
+                 operands: Sequence[object] = ()):
+        self.opcodes = None if opcodes is None else frozenset(opcodes)
+        self.cond = cond
+        self.flags = frozenset(flags)
+        self.operands = tuple(operands)
+
+    def admits(self, key: Key) -> bool:
+        opcode, cond, flags, operands = key
+        if self.opcodes is not None and opcode not in self.opcodes:
+            return False
+        if self.cond is not None and cond != self.cond:
+            return False
+        if not self.flags <= flags:
+            return False
+        for want, got in zip(self.operands, operands):
+            if want is ANY:
+                continue
+            if isinstance(want, tuple):
+                if not (isinstance(got, tuple) and got[0] == want[0]
+                        and want[1] in (None, got[1])):
+                    return False
+            elif got is not want:  # CONST; no operand's shape is NEVER
+                return False
+        return True
+
+
+def _shape(pattern: ast.Value):
+    """What :meth:`TemplateMatcher._match_value` demands of the value
+    it matches against *pattern*, looking at that value alone.  The
+    cases are those of ``_match_value``; a shape is never stricter."""
+    if isinstance(pattern, ast.Copy):
+        return _shape(pattern.x)
+    if isinstance(pattern, ast.Input):
+        return ANY
+    if isinstance(pattern, (ast.ConstantSymbol, ast.Literal, ConstExpr)):
+        return CONST
+    if isinstance(pattern, ast.BinOp):
+        return (pattern.opcode, None)
+    if isinstance(pattern, ast.ICmp):
+        return ("icmp", pattern.cond)
+    if isinstance(pattern, ast.Select):
+        return ("select", None)
+    if isinstance(pattern, ast.ConvOp) and pattern.opcode in _CONVERSIONS:
+        return (pattern.opcode, None)
+    return NEVER  # undef, FP and memory patterns never match
+
+
+def template_guard(pattern: ast.Value) -> Guard:
+    """The :class:`Guard` of a source template rooted at *pattern*."""
+    while isinstance(pattern, ast.Copy):
+        pattern = pattern.x
+    shape = _shape(pattern)
+    if shape is ANY:
+        return Guard(None)
+    if not isinstance(shape, tuple):
+        return Guard(())  # a constant or a never-matching root
+    flags = pattern.flags if isinstance(pattern, ast.BinOp) else ()
+    return Guard((shape[0],), shape[1], flags,
+                 [_shape(p) for p in pattern.operands()])
+
+
 class TemplateMatcher:
     """Matches one transformation's source template."""
 
     def __init__(self, transformation: ast.Transformation):
         self.t = transformation
         self.root_pattern = transformation.src[transformation.root]
+        self.guard = template_guard(self.root_pattern)
         # the template's real typing constraints, used to reject
         # structurally matching DAGs whose widths are inconsistent with
         # the (polymorphic) template typing — e.g. an i1 `false` literal
         # must not match an i8 zero
-        from ..core.typecheck import TypeChecker
-
-        self._checker = TypeChecker()
-        self._checker.check_transformation(transformation)
+        checker = TypeChecker()
+        checker.check_transformation(transformation)
+        system = checker.system
+        values = transformation.source_values()
+        # what _check_types and _widths_feasible read, resolved once:
+        # the annotated widths, each pattern node's type class, the
+        # unary constraints per class and the width-relating edges
+        self._annotated = [(v.name, v.ty.width) for v in values
+                           if isinstance(v.ty, IntType)]
+        self._class_of = {id(v): system.find(checker.tv(v)) for v in values}
+        self._unary = {}
+        for cls in set(self._class_of.values()):
+            facts = [(tag, payload)
+                     for tag, payload in system.unary.get(cls, [])
+                     if tag in (BOOL, MIN_WIDTH)
+                     or (tag == FIXED and isinstance(payload, IntType))]
+            if facts:
+                self._unary[cls] = facts
+        self._binary = [(tag, a, b) for tag, a, b in system.resolved_binary()
+                        if tag in (SMALLER, SAME_WIDTH)]
 
     # ------------------------------------------------------------------
 
@@ -92,35 +215,22 @@ class TemplateMatcher:
         SMALLER edges (conversions) are checked when both ends are
         observed.
         """
-        from repro.typing.constraints import (
-            BOOL,
-            FIXED,
-            MIN_WIDTH,
-            SAME_WIDTH,
-            SMALLER,
-        )
-        from repro.typing.types import IntType
-
-        system = self._checker.system
+        class_of = self._class_of
         by_class: Dict[str, int] = {}
-        obs_by_pattern = self._observation_keys(observations)
-        for key, width in obs_by_pattern.items():
-            root = system.find(key)
-            existing = by_class.get(root)
-            if existing is not None and existing != width:
+        for node, width in observations.items():
+            cls = class_of.get(node)
+            if cls is not None and by_class.setdefault(cls, width) != width:
                 return False
-            by_class[root] = width
-        for root, width in by_class.items():
-            for tag, payload in system.unary.get(root, []):
+        for cls, width in by_class.items():
+            for tag, payload in self._unary.get(cls, ()):
                 if tag == BOOL and width != 1:
                     return False
-                if tag == FIXED and isinstance(payload, IntType) \
-                        and payload.width != width:
+                if tag == FIXED and payload.width != width:
                     return False
                 if tag == MIN_WIDTH and width < payload:
                     return False
-        for tag, a, b in system.resolved_binary():
-            wa, wb = by_class.get(system.find(a)), by_class.get(system.find(b))
+        for tag, a, b in self._binary:
+            wa, wb = by_class.get(a), by_class.get(b)
             if wa is None or wb is None:
                 continue
             if tag == SMALLER and not wa < wb:
@@ -128,15 +238,6 @@ class TemplateMatcher:
             if tag == SAME_WIDTH and wa != wb:
                 return False
         return True
-
-    def _observation_keys(self, observations: Dict[int, int]) -> Dict[str, int]:
-        """Translate id(pattern-node) observations into type-var keys."""
-        out: Dict[str, int] = {}
-        for v in self.t.source_values():
-            width = observations.get(id(v))
-            if width is not None:
-                out[self._checker.tv(v)] = width
-        return out
 
     # ------------------------------------------------------------------
 
@@ -222,7 +323,7 @@ class TemplateMatcher:
                     return False
             return self._bind(pattern.name, value, bindings)
         if isinstance(pattern, ast.ConvOp):
-            if pattern.opcode not in ("zext", "sext", "trunc"):
+            if pattern.opcode not in _CONVERSIONS:
                 return False
             if not isinstance(value, MInstr) or value.opcode != pattern.opcode:
                 return False
@@ -235,13 +336,9 @@ class TemplateMatcher:
 
     def _check_types(self, bindings: Dict[str, MValue]) -> bool:
         """Explicit type annotations must agree with the matched widths."""
-        from ..typing.types import IntType
-
-        for value in self.t.source_values():
-            if value.ty is None or not isinstance(value.ty, IntType):
-                continue
-            bound = bindings.get(value.name)
-            if bound is not None and bound.width != value.ty.width:
+        for name, width in self._annotated:
+            bound = bindings.get(name)
+            if bound is not None and bound.width != width:
                 return False
         return True
 
@@ -288,6 +385,19 @@ class TemplateMatcher:
             else None
             for a in call.args
         ]
+        if any(v is None for v in args):
+            # a constant expression or literal argument is the constant
+            # it evaluates to, at the width another argument fixes
+            width = next(filter(None, (self._width_of(a, bindings)
+                                       for a in call.args)), None)
+            for i, a in enumerate(call.args):
+                if width is None or not isinstance(a, (ConstExpr, ast.Literal)):
+                    continue
+                try:
+                    args[i] = MConst(self._eval_const(a, width, bindings),
+                                     width)
+                except (_UnboundConstant, ast.AliveError):
+                    pass
         if fn == "hasOneUse":
             return args[0] is not None and analyses.has_one_use(args[0])
         if fn == "isConstant":

@@ -2,8 +2,9 @@
 
 Drives a set of (verified) Alive transformations over concrete IR the
 way InstCombine drives its hand-written rewrites: a worklist sweep over
-every instruction, trying each optimization's matcher, rewriting on the
-first hit, iterating to a fixpoint, and finishing with DCE.
+every instruction, trying the matcher of each optimization whose guard
+admits the instruction, rewriting on the first hit, iterating to a
+fixpoint, and finishing with DCE.
 
 Per-optimization firing counts are recorded — these are the data behind
 Figure 9 of the paper.
@@ -11,13 +12,13 @@ Figure 9 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..ir import ast
 from ..ir.module import MFunction, MInstr, Module
 from .analysis import Analyses
 from .dce import run_dce
-from .matcher import TemplateMatcher
+from .matcher import Key, TemplateMatcher, instruction_key
 from .rewriter import RewriteError, Rewriter
 
 
@@ -28,15 +29,11 @@ class PeepholeOpt:
         self.transformation = transformation
         self.name = transformation.name
         self.matcher = TemplateMatcher(transformation)
+        self.guard = self.matcher.guard
         self.rewriter = Rewriter(transformation)
-        root = transformation.src[transformation.root]
-        self.root_opcode = getattr(root, "opcode", None)
-        self.root_cond = getattr(root, "cond", None)
 
     def try_apply(self, fn: MFunction, inst: MInstr,
                   analyses: Analyses) -> bool:
-        if self.root_opcode is not None and inst.opcode != self.root_opcode:
-            return False
         match = self.matcher.match(inst, analyses)
         if match is None:
             return False
@@ -79,11 +76,19 @@ class PeepholePass:
         self.opts = list(opts)
         self.max_iterations = max_iterations
         self.stats = PassStatistics()
-        # opcode -> candidate optimizations, for O(1) dispatch like the
-        # generated C++'s top-level switch
-        self._by_opcode: Dict[Optional[str], List[PeepholeOpt]] = {}
-        for opt in self.opts:
-            self._by_opcode.setdefault(opt.root_opcode, []).append(opt)
+        # instruction key -> the optimizations whose guard admits it, in
+        # list order; the generated C++'s switches on the root and
+        # operand opcodes, filled in as keys turn up
+        self._candidates: Dict[Key, List[PeepholeOpt]] = {}
+
+    def candidates(self, inst: MInstr) -> List[PeepholeOpt]:
+        """The optimizations that may fire on *inst*, in list order."""
+        key = instruction_key(inst)
+        found = self._candidates.get(key)
+        if found is None:
+            found = self._candidates[key] = [
+                opt for opt in self.opts if opt.guard.admits(key)]
+        return found
 
     # ------------------------------------------------------------------
 
@@ -98,8 +103,7 @@ class PeepholePass:
             for inst in list(fn.instrs):
                 if id(inst) in replaced:
                     continue  # already rewritten away this sweep
-                candidates = self._by_opcode.get(inst.opcode, ())
-                for opt in candidates:
+                for opt in self.candidates(inst):
                     if opt.try_apply(fn, inst, analyses):
                         self.stats.record(opt.name)
                         replaced.add(id(inst))

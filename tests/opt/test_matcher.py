@@ -180,6 +180,15 @@ class TestPreconditionEvaluation:
         fn.ret = extra
         assert m.match(r, Analyses(fn)) is None
 
+    def test_builtin_over_constant_expression(self):
+        m = matcher_for("Pre: isPowerOf2(C+1)\n%r = and %x, C\n"
+                        "=>\n%r = urem %x, C+1")
+        fn = fn8()
+        hit = fn.add("and", [fn.args[0], MConst(7, 8)], 8)
+        miss = fn.add("and", [fn.args[0], MConst(5, 8)], 8)
+        assert m.match(hit, Analyses(fn)) is not None
+        assert m.match(miss, Analyses(fn)) is None
+
     def test_negated_predicate(self):
         m = matcher_for(
             "Pre: !isPowerOf2(C)\n%r = urem %x, C\n=>\n%r = urem %x, C"

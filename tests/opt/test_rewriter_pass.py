@@ -7,6 +7,7 @@ from repro.ir.interp import run_function
 from repro.ir.module import MArg, MConst, MFunction, Module
 from repro.opt import (
     Analyses,
+    NativeRule,
     PeepholeOpt,
     PeepholePass,
     baseline_rules,
@@ -211,6 +212,35 @@ class TestBaselineRules:
         pass_.run_function(fn)
         assert isinstance(fn.ret, MConst)
         assert fn.ret.value == 44
+
+    def test_conversions_of_constants_fold(self):
+        fn = fn8(0)
+        inst = fn.add("zext", [MConst(3, 4)], 8)
+        fn.ret = inst
+        pass_ = PeepholePass(folding_rules())
+        pass_.run_function(fn)
+        assert isinstance(fn.ret, MConst)
+        assert (fn.ret.value, fn.ret.width) == (3, 8)
+        assert pass_.stats.fired == {"fold-conv": 1}
+
+    @pytest.mark.parametrize("opcode, c, name", [
+        ("sdiv", 1, "div-one"), ("urem", 1, "rem-one"),
+        ("ashr", 0, "shift-zero")])
+    def test_multi_opcode_rules_fire(self, opcode, c, name):
+        fn = fn8(1)
+        fn.ret = fn.add(opcode, [fn.args[0], MConst(c, 8)], 8)
+        pass_ = PeepholePass(baseline_rules())
+        pass_.run_function(fn)
+        assert pass_.stats.fired == {name: 1}
+
+    def test_rule_without_opcode_is_tried_on_every_instruction(self):
+        rule = NativeRule("any-zero", None,
+                          lambda func, inst, analyses: MConst(0, inst.width))
+        fn = fn8()
+        fn.ret = fn.add("icmp", fn.args, 1, cond="ult")
+        pass_ = PeepholePass([rule], max_iterations=1)
+        pass_.run_function(fn)
+        assert pass_.stats.fired == {"any-zero": 1}
 
     def test_folding_leaves_ub_in_place(self):
         fn = fn8(0)

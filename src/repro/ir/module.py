@@ -216,6 +216,9 @@ class MFunction:
         """RAUW: rewrite every use of *old* to *new*; returns #rewrites."""
         n = 0
         for inst in self.instrs:
+            # values compare by identity, so `in` scans in C
+            if old not in inst.operands:
+                continue
             for i, op in enumerate(inst.operands):
                 if op is old:
                     inst.operands[i] = new

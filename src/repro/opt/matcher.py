@@ -1,12 +1,12 @@
 """Pattern matching of Alive source templates against concrete IR.
 
-This is the Python analogue of the C++ that Alive generates (paper §4):
-the generated code matches a DAG of LLVM instructions against the source
-template, binds inputs and constants, evaluates the precondition using
-the dataflow analyses, and fires the rewrite.  Hosting the matcher in
-Python lets the reproduction run the "LLVM+Alive" experiments of §6.4
-without an LLVM checkout; the emitted C++ (:mod:`repro.codegen.cpp`)
-mirrors what this module does operationally.
+This is the Python analogue of the C++ that Alive generates (paper §4,
+Figure 7): each source template is compiled once into a
+:class:`MatchProgram`, straight-line checks that match a DAG of
+instructions, bind inputs and constants and test widths, run as a
+generated Python function; the precondition is then evaluated using the
+dataflow analyses.  This lets the reproduction run the "LLVM+Alive"
+experiments of §6.4 without an LLVM checkout.
 
 The precondition is decided by :func:`repro.ir.precond.evaluate` over
 the matcher's own atoms: comparisons and built-ins whose arguments are
@@ -16,16 +16,17 @@ verifier's symbolic conditions); the syntactic built-ins and the
 built-ins over non-constant values ask :class:`~repro.opt.analysis.Analyses`,
 and are false where no analysis answers them.
 
-Before any of that, the generated code switches on the root opcode and
-tests the operand opcodes.  :class:`Guard` is that switch: read from the
-source template by :func:`template_guard`, it decides on an
-instruction's :func:`instruction_key` alone, and is never stricter than
-the matcher, so :class:`~repro.opt.pass_manager.PeepholePass` can skip
-every rule whose guard rejects the key.
+Before any of that, a :class:`Guard` switches on the root and operand
+opcodes: read by :func:`template_guard` from the same per-pattern cases
+as the program, it decides on an instruction's :func:`instruction_key`
+alone and is never stricter than the program, so
+:class:`~repro.opt.pass_manager.PeepholePass` skips every rule whose
+guard rejects the key.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from ..core.typecheck import TypeChecker
@@ -33,7 +34,7 @@ from ..ir import ast
 from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
 from ..ir.module import MConst, MInstr, MValue
 from ..ir.precond import (
-    PredCall, PredCmp, Predicate, builtin_holds, compare, evaluate,
+    PredCall, PredCmp, Predicate, PredTrue, builtin_holds, compare, evaluate,
 )
 from ..typing.constraints import BOOL, FIXED, MIN_WIDTH, SAME_WIDTH, SMALLER
 from ..typing.types import IntType
@@ -121,39 +122,205 @@ class Guard:
         return True
 
 
-def _shape(pattern: ast.Value):
-    """What :meth:`TemplateMatcher._match_value` demands of the value
-    it matches against *pattern*, looking at that value alone.  The
-    cases are those of ``_match_value``; a shape is never stricter."""
+#: the cases of :func:`_case` other than an instruction pattern's, and
+#: the operand shape a guard asks for each
+COPY, INPUT, SYMBOL, LITERAL, CONSTEXPR = (
+    "copy", "input", "symbol", "literal", "constexpr")
+_SHAPES = {INPUT: ANY, SYMBOL: CONST, LITERAL: CONST, CONSTEXPR: CONST,
+           NEVER: NEVER}
+
+
+def _case(pattern: ast.Value):
+    """What a value must be to match *pattern*: the one case analysis
+    that both the match program and the guard read.  An instruction
+    pattern gives its ``(opcode, cond, flags, operand patterns)``."""
     if isinstance(pattern, ast.Copy):
-        return _shape(pattern.x)
+        return COPY
     if isinstance(pattern, ast.Input):
-        return ANY
-    if isinstance(pattern, (ast.ConstantSymbol, ast.Literal, ConstExpr)):
-        return CONST
+        return INPUT
+    if isinstance(pattern, ast.ConstantSymbol):
+        return SYMBOL
+    if isinstance(pattern, ast.Literal):
+        return LITERAL
+    if isinstance(pattern, ConstExpr):
+        return CONSTEXPR if is_constant_value(pattern) else NEVER
     if isinstance(pattern, ast.BinOp):
-        return (pattern.opcode, None)
+        return pattern.opcode, None, pattern.flags, pattern.operands()
     if isinstance(pattern, ast.ICmp):
-        return ("icmp", pattern.cond)
-    if isinstance(pattern, ast.Select):
-        return ("select", None)
-    if isinstance(pattern, ast.ConvOp) and pattern.opcode in _CONVERSIONS:
-        return (pattern.opcode, None)
+        return "icmp", pattern.cond, (), pattern.operands()
+    if isinstance(pattern, ast.Select) or (
+            isinstance(pattern, ast.ConvOp) and pattern.opcode in _CONVERSIONS):
+        return pattern.opcode, None, (), pattern.operands()
     return NEVER  # undef, FP and memory patterns never match
+
+
+def _shape(pattern: ast.Value):
+    """What the match program demands of the value it matches against
+    *pattern*, looking at that value alone; never stricter."""
+    case = _case(pattern)
+    if case == COPY:
+        return _shape(pattern.x)
+    return case[:2] if isinstance(case, tuple) else _SHAPES[case]
 
 
 def template_guard(pattern: ast.Value) -> Guard:
     """The :class:`Guard` of a source template rooted at *pattern*."""
     while isinstance(pattern, ast.Copy):
         pattern = pattern.x
-    shape = _shape(pattern)
-    if shape is ANY:
+    case = _case(pattern)
+    if case == INPUT:
         return Guard(None)
-    if not isinstance(shape, tuple):
+    if not isinstance(case, tuple):
         return Guard(())  # a constant or a never-matching root
-    flags = pattern.flags if isinstance(pattern, ast.BinOp) else ()
-    return Guard((shape[0],), shape[1], flags,
-                 [_shape(p) for p in pattern.operands()])
+    opcode, cond, flags, operands = case
+    return Guard((opcode,), cond, flags, [_shape(p) for p in operands])
+
+
+class MatchProgram:
+    """A source template compiled once into straight-line checks.
+
+    ``steps`` are tuples of a kind and operands; a register (an int)
+    names a matched value, 0 being the root.  ``("load", r, s, i)``
+    makes r operand *i* of s, ``("fail",)`` rejects (undef, FP and
+    memory patterns), ``("constexpr", r, e, b)`` tests r against the
+    constant expression *e* over the bindings *b* made so far, and
+    every other kind is a test that ``_PYTHON_TESTS`` spells out.  The
+    order is that of a recursive walk: the template depth first,
+    operands left to right, a name's later occurrences tested against
+    its first; then the annotated widths, one width per type class, the
+    class facts and the relations between classes; then ``pre`` (None
+    if trivially true) over ``bindings`` (name -> register).
+    ``source`` is the Python the steps print as, ``run`` its function;
+    *holds(atom, bindings, analyses)* decides each precondition atom.
+    """
+
+    def __init__(self, t: ast.Transformation, holds):
+        self.steps = []
+        self.bindings: Dict[str, int] = {}
+        self._compile(t)
+        self.pre = None if isinstance(t.pre, PredTrue) else t.pre
+        env = {"MInstr": MInstr, "MConst": MConst, "Match": Match,
+               "evaluate": evaluate, "pre": self.pre, "holds": holds,
+               "constexpr": _constexpr}
+        lines = ["def match(v0, analyses):"]
+        lines += ["    " + _python(step, env) for step in self.steps]
+        lines.append("    b = {%s}" % ", ".join(
+            "%r: v%d" % item for item in self.bindings.items()))
+        if self.pre is not None:
+            lines.append("    if not evaluate(pre, lambda atom: "
+                         "holds(atom, b, analyses)):\n        return None")
+        lines.append("    return Match(v0, b)\n")
+        self.source = "\n".join(lines)
+        filename = "<match %s>" % t.name  # in tracebacks
+        exec(compile(self.source, filename, "exec"), env)
+        self.run = env["match"]
+
+    def _compile(self, t: ast.Transformation) -> None:
+        steps, names = self.steps, self.bindings
+        visited: Dict[int, int] = {}  # id(pattern) -> its last register
+        registers = itertools.count(1)
+
+        def bind(name, r):
+            if name in names:
+                steps.append(("same", r, names[name]))
+            else:
+                names[name] = r
+
+        def visit(pattern, r):
+            visited[id(pattern)] = r
+            case = _case(pattern)
+            if case == COPY:
+                visit(pattern.x, r)
+            elif case == INPUT:
+                bind(pattern.name, r)
+            elif case == NEVER:
+                steps.append(("fail",))
+            elif not isinstance(case, tuple):
+                steps.append(("const", r))
+                if case == SYMBOL:
+                    bind(pattern.name, r)
+                elif case == LITERAL:
+                    steps.append(("literal", r, pattern.value))
+                else:
+                    steps.append(("constexpr", r, pattern,
+                                  tuple(names.items())))
+            else:
+                opcode, cond, flags, operands = case
+                steps.append(("opcode", r, opcode))
+                if cond is not None:
+                    steps.append(("cond", r, cond))
+                steps.extend(("flag", r, f) for f in flags)
+                for i, operand in enumerate(operands):
+                    o = next(registers)
+                    steps.append(("load", o, r, i))
+                    visit(operand, o)
+                bind(pattern.name, r)
+
+        visit(t.src[t.root], 0)
+        # the template's typing rejects structurally matching DAGs of
+        # inconsistent widths: an i1 `false` must not match an i8 zero
+        checker = TypeChecker()
+        checker.check_transformation(t)
+        system = checker.system
+        values = t.source_values()
+        checks = [("width", names[v.name], v.ty.width) for v in values
+                  if isinstance(v.ty, IntType) and v.name in names]
+        class_of = {id(v): system.find(checker.tv(v)) for v in values}
+        first = {}  # type class -> its first register
+        for node, r in visited.items():
+            cls = class_of.get(node)
+            if cls in first:
+                checks.append(("same_width", r, first[cls]))
+            elif cls is not None:
+                first[cls] = r
+        for cls, r in first.items():
+            for tag, payload in system.unary.get(cls, ()):
+                if tag == MIN_WIDTH:
+                    checks.append(("min_width", r, payload))
+                elif tag == BOOL or (tag == FIXED
+                                     and isinstance(payload, IntType)):
+                    checks.append(("width", r, 1 if tag == BOOL
+                                   else payload.width))
+        for tag, a, b in system.resolved_binary():
+            if tag in (SMALLER, SAME_WIDTH) and a in first and b in first:
+                checks.append(("smaller" if tag == SMALLER else "same_width",
+                               first[a], first[b]))
+        steps.extend(dict.fromkeys(checks))  # width checks commute
+
+
+#: each test step as the Python condition under which it fails
+_PYTHON_TESTS = {
+    "opcode": "not isinstance({r}, MInstr) or {r}.opcode != {2!r}",
+    "cond": "{r}.cond != {2!r}",
+    "flag": "{2!r} not in {r}.flags",
+    "const": "not isinstance({r}, MConst)",
+    "literal": "{r}.value != {2!r} & ((1 << {r}.width) - 1)",
+    "same": "{r} is not {s} and not (isinstance({s}, MConst) and "
+            "isinstance({r}, MConst) and {s}.width == {r}.width and "
+            "{s}.value == {r}.value)",
+    "width": "{r}.width != {2!r}",
+    "min_width": "{r}.width < {2!r}",
+    "same_width": "{r}.width != {s}.width",
+    "smaller": "{r}.width >= {s}.width",
+}
+
+
+def _python(step: tuple, env: dict) -> str:
+    """*step* as a line of the match function; a constant expression
+    goes into the function's environment *env*."""
+    kind = step[0]
+    if kind == "fail":
+        return "return None"
+    r, s = "v%d" % step[1], "v%s" % step[2] if len(step) > 2 else None
+    if kind == "load":
+        return "%s = %s.operands[%d]" % (r, s, step[3])
+    if kind == "constexpr":
+        env["e%d" % step[1]] = step[2]
+        test = "constexpr(e%d, %s, {%s}) != %s.value" % (
+            step[1], r, ", ".join("%r: v%d" % b for b in step[3]), r)
+    else:
+        test = _PYTHON_TESTS[kind].format(*step, r=r, s=s)
+    return "if %s:\n        return None" % test
 
 
 class TemplateMatcher:
@@ -161,186 +328,12 @@ class TemplateMatcher:
 
     def __init__(self, transformation: ast.Transformation):
         self.t = transformation
-        self.root_pattern = transformation.src[transformation.root]
-        self.guard = template_guard(self.root_pattern)
-        # the template's real typing constraints, used to reject
-        # structurally matching DAGs whose widths are inconsistent with
-        # the (polymorphic) template typing — e.g. an i1 `false` literal
-        # must not match an i8 zero
-        checker = TypeChecker()
-        checker.check_transformation(transformation)
-        system = checker.system
-        values = transformation.source_values()
-        # what _check_types and _widths_feasible read, resolved once:
-        # the annotated widths, each pattern node's type class, the
-        # unary constraints per class and the width-relating edges
-        self._annotated = [(v.name, v.ty.width) for v in values
-                           if isinstance(v.ty, IntType)]
-        self._class_of = {id(v): system.find(checker.tv(v)) for v in values}
-        self._unary = {}
-        for cls in set(self._class_of.values()):
-            facts = [(tag, payload)
-                     for tag, payload in system.unary.get(cls, [])
-                     if tag in (BOOL, MIN_WIDTH)
-                     or (tag == FIXED and isinstance(payload, IntType))]
-            if facts:
-                self._unary[cls] = facts
-        self._binary = [(tag, a, b) for tag, a, b in system.resolved_binary()
-                        if tag in (SMALLER, SAME_WIDTH)]
-
-    # ------------------------------------------------------------------
+        self.guard = template_guard(transformation.src[transformation.root])
+        self.program = MatchProgram(transformation, self._atom)
 
     def match(self, inst: MInstr, analyses: Analyses) -> Optional[Match]:
         """Try to match the template rooted at *inst*."""
-        bindings: Dict[str, MValue] = {}
-        observations: Dict[int, int] = {}  # id(pattern) -> matched width
-        if not self._match_value(self.root_pattern, inst, bindings,
-                                 observations):
-            return None
-        if not self._check_types(bindings):
-            return None
-        if not self._widths_feasible(observations):
-            return None
-        if not evaluate(self.t.pre,
-                        lambda atom: self._atom(atom, bindings, analyses)):
-            return None
-        return Match(inst, bindings)
-
-    def _widths_feasible(self, observations: Dict[int, int]) -> bool:
-        """Check the observed widths against the template's typing.
-
-        Every matched pattern node reported its concrete width; nodes in
-        the same type class must agree, and the class's unary
-        constraints (i1-ness, fixed types, literal fit) must hold.
-        SMALLER edges (conversions) are checked when both ends are
-        observed.
-        """
-        class_of = self._class_of
-        by_class: Dict[str, int] = {}
-        for node, width in observations.items():
-            cls = class_of.get(node)
-            if cls is not None and by_class.setdefault(cls, width) != width:
-                return False
-        for cls, width in by_class.items():
-            for tag, payload in self._unary.get(cls, ()):
-                if tag == BOOL and width != 1:
-                    return False
-                if tag == FIXED and payload.width != width:
-                    return False
-                if tag == MIN_WIDTH and width < payload:
-                    return False
-        for tag, a, b in self._binary:
-            wa, wb = by_class.get(a), by_class.get(b)
-            if wa is None or wb is None:
-                continue
-            if tag == SMALLER and not wa < wb:
-                return False
-            if tag == SAME_WIDTH and wa != wb:
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-
-    def _bind(self, name: str, value: MValue, bindings: Dict[str, MValue]) -> bool:
-        existing = bindings.get(name)
-        if existing is None:
-            bindings[name] = value
-            return True
-        if existing is value:
-            return True
-        # two occurrences must be the same value; constants may also
-        # match by equal numeric value
-        if (
-            isinstance(existing, MConst)
-            and isinstance(value, MConst)
-            and existing.width == value.width
-            and existing.value == value.value
-        ):
-            return True
-        return False
-
-    def _match_value(self, pattern: ast.Value, value: MValue,
-                     bindings: Dict[str, MValue],
-                     observations: Dict[int, int]) -> bool:
-        observations[id(pattern)] = value.width
-        if isinstance(pattern, ast.Input):
-            return self._bind(pattern.name, value, bindings)
-        if isinstance(pattern, ast.ConstantSymbol):
-            if not isinstance(value, MConst):
-                return False
-            return self._bind(pattern.name, value, bindings)
-        if isinstance(pattern, ast.Literal):
-            if not isinstance(value, MConst):
-                return False
-            return (pattern.value & ((1 << value.width) - 1)) == value.value
-        if isinstance(pattern, ast.UndefValue):
-            return False  # concrete IR has no undef values
-        if isinstance(pattern, ConstExpr):
-            # a constant expression in operand position must evaluate to
-            # the matched constant (requires its symbols to be bound)
-            if not isinstance(value, MConst):
-                return False
-            if not is_constant_value(pattern):
-                return False
-            try:
-                expected = eval_constexpr(
-                    pattern, value.width,
-                    lambda sym: _resolve_const(bindings, sym),
-                )
-            except _UnboundConstant:
-                return False
-            return expected == value.value
-        if isinstance(pattern, ast.Copy):
-            return self._match_value(pattern.x, value, bindings, observations)
-        if isinstance(pattern, ast.BinOp):
-            if not isinstance(value, MInstr) or value.opcode != pattern.opcode:
-                return False
-            for f in pattern.flags:
-                if f not in value.flags:
-                    return False
-            if not self._match_value(pattern.a, value.operands[0], bindings, observations):
-                return False
-            if not self._match_value(pattern.b, value.operands[1], bindings, observations):
-                return False
-            return self._bind(pattern.name, value, bindings)
-        if isinstance(pattern, ast.ICmp):
-            if (
-                not isinstance(value, MInstr)
-                or value.opcode != "icmp"
-                or value.cond != pattern.cond
-            ):
-                return False
-            if not self._match_value(pattern.a, value.operands[0], bindings, observations):
-                return False
-            if not self._match_value(pattern.b, value.operands[1], bindings, observations):
-                return False
-            return self._bind(pattern.name, value, bindings)
-        if isinstance(pattern, ast.Select):
-            if not isinstance(value, MInstr) or value.opcode != "select":
-                return False
-            for pat, op in zip((pattern.c, pattern.a, pattern.b), value.operands):
-                if not self._match_value(pat, op, bindings, observations):
-                    return False
-            return self._bind(pattern.name, value, bindings)
-        if isinstance(pattern, ast.ConvOp):
-            if pattern.opcode not in _CONVERSIONS:
-                return False
-            if not isinstance(value, MInstr) or value.opcode != pattern.opcode:
-                return False
-            if not self._match_value(pattern.x, value.operands[0], bindings, observations):
-                return False
-            return self._bind(pattern.name, value, bindings)
-        return False
-
-    # ------------------------------------------------------------------
-
-    def _check_types(self, bindings: Dict[str, MValue]) -> bool:
-        """Explicit type annotations must agree with the matched widths."""
-        for name, width in self._annotated:
-            bound = bindings.get(name)
-            if bound is not None and bound.width != width:
-                return False
-        return True
+        return self.program.run(inst, analyses)
 
     # ------------------------------------------------------------------
 
@@ -352,8 +345,8 @@ class TemplateMatcher:
             if width is None:
                 return False
             try:
-                a = self._eval_const(atom.a, width, bindings)
-                b = self._eval_const(atom.b, width, bindings)
+                a = _eval_const(atom.a, width, bindings)
+                b = _eval_const(atom.b, width, bindings)
             except _UnboundConstant:
                 return False
             return compare(atom.op, a, b, width)
@@ -369,12 +362,6 @@ class TemplateMatcher:
                 if w is not None:
                     return w
         return None
-
-    def _eval_const(self, e: ast.Value, width: int,
-                    bindings: Dict[str, MValue]) -> int:
-        return eval_constexpr(
-            e, width, lambda sym: _resolve_const(bindings, sym)
-        )
 
     def _call_holds(self, call: PredCall, bindings: Dict[str, MValue],
                     analyses: Analyses) -> bool:
@@ -394,7 +381,7 @@ class TemplateMatcher:
                 if width is None or not isinstance(a, (ConstExpr, ast.Literal)):
                     continue
                 try:
-                    args[i] = MConst(self._eval_const(a, width, bindings),
+                    args[i] = MConst(_eval_const(a, width, bindings),
                                      width)
                 except (_UnboundConstant, ast.AliveError):
                     pass
@@ -407,7 +394,7 @@ class TemplateMatcher:
             if v is None:
                 return False
             try:
-                mask = self._eval_const(call.args[1], v.width, bindings)
+                mask = _eval_const(call.args[1], v.width, bindings)
             except (_UnboundConstant, ast.AliveError):
                 return False
             return analyses.masked_value_is_zero(v, mask)
@@ -429,3 +416,15 @@ def _resolve_const(bindings: Dict[str, MValue], sym: ast.Value) -> int:
         raise _UnboundConstant(sym.name)
     return bound.value
 
+
+def _eval_const(e: ast.Value, width: int, bindings: Dict[str, MValue]) -> int:
+    return eval_constexpr(e, width, lambda sym: _resolve_const(bindings, sym))
+
+
+def _constexpr(e: ConstExpr, value: MConst,
+               bindings: Dict[str, MValue]) -> Optional[int]:
+    """*e* at *value*'s width; None if it reads an unbound constant."""
+    try:
+        return _eval_const(e, value.width, bindings)
+    except _UnboundConstant:
+        return None

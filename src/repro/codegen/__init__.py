@@ -1,12 +1,10 @@
 """C++ code generation from verified transformations (paper §4)."""
 
 from .cpp import CodegenError, CppGenerator, generate_cpp, generate_pass
-from .unify import required_type_checks
 
 __all__ = [
     "CodegenError",
     "CppGenerator",
     "generate_cpp",
     "generate_pass",
-    "required_type_checks",
 ]

@@ -5,22 +5,26 @@ pattern-matching library, in the exact shape of Figure 7:
 
 * declarations for the bound values and constants;
 * an if-condition of ``match(...)`` clauses — one per source
-  instruction, root first, operands recursively — plus the translated
-  precondition and any type-unification guards;
+  instruction, root first, operands recursively — plus the width
+  guards well-formed IR does not imply and the translated
+  precondition;
 * a body that computes new ``APInt`` constants, creates the target
   instructions, and calls ``replaceAllUsesWith`` on the root.
 
-The output is textual C++ (this environment has no LLVM to link
-against); the executable analogue used by the benchmarks is
-:mod:`repro.opt`.  Structural fidelity to Figure 7 is covered by the
-test suite.
+The source side is printed from the rule's
+:class:`~repro.opt.matcher.MatchProgram`, the same checks that the
+executable analogue, :mod:`repro.opt`, runs in Python.  The output is
+textual C++ (there is no LLVM to link against); structural fidelity to
+Figure 7 is covered by the test suite.
 """
 
 from __future__ import annotations
 
 import re
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Set
 
+from ..core.typecheck import TypeChecker
 from ..ir import ast
 from ..ir.constexpr import ConstExpr
 from ..ir.precond import (
@@ -32,7 +36,7 @@ from ..ir.precond import (
     PredTrue,
     Predicate,
 )
-from .unify import required_type_checks
+from ..opt.matcher import TemplateMatcher
 
 _MATCHERS = {
     "add": "m_Add",
@@ -52,6 +56,7 @@ _MATCHERS = {
     "sext": "m_SExt",
     "trunc": "m_Trunc",
     "select": "m_Select",
+    "icmp": "m_ICmp",
 }
 
 _CREATORS = {
@@ -87,6 +92,15 @@ _APINT_METHOD = {
 }
 
 
+_LITERAL_MATCHERS = {0: "m_Zero()", 1: "m_One()", -1: "m_AllOnes()"}
+
+_FLAG_CHECKS = {
+    "nsw": "cast<OverflowingBinaryOperator>(%s)->hasNoSignedWrap()",
+    "nuw": "cast<OverflowingBinaryOperator>(%s)->hasNoUnsignedWrap()",
+    "exact": "cast<PossiblyExactOperator>(%s)->isExact()",
+}
+
+
 class CodegenError(ast.AliveError):
     """The transformation uses features the C++ backend cannot emit."""
 
@@ -99,143 +113,197 @@ def _ident(name: str) -> str:
     return out
 
 
+def _bits(value: str) -> str:
+    """The bit width of the C++ value *value*; ``width`` is I's."""
+    if value == "I":
+        return "width"
+    return "%s->getType()->getIntegerBitWidth()" % value
+
+
+def _symbols(e: ast.Value) -> Set[str]:
+    """The names a constant expression reads, ``width`` arguments too."""
+    if isinstance(e, ConstExpr):
+        return set().union(*map(_symbols, e.args))
+    named = (ast.Input, ast.ConstantSymbol, ast.Instruction)
+    return {e.name} if isinstance(e, named) else set()
+
+
 class CppGenerator:
-    """Generates the Figure 7-style C++ for one transformation."""
+    """Generates the Figure 7-style C++ for one transformation.
+
+    Constants, APInt literals and cast destinations take the type of
+    the first matched value in their type class.
+    """
 
     def __init__(self, t: ast.Transformation):
         self.t = t
-        self.root_inst = t.src[t.root]
-        if isinstance(
-            self.root_inst,
-            (ast.Store, ast.Load, ast.Alloca, ast.GEP, ast.Unreachable),
-        ):
-            raise CodegenError(
-                "%s: memory-rooted transformations are not emitted" % t.name
-            )
+        self.program = TemplateMatcher(t).program
+        self._checker = TypeChecker()
+        self._checker.check_transformation(t)
+        self._sources = {v.name: v for v in t.source_values()}
         self.value_decls: Set[str] = set()
         self.const_decls: Set[str] = set()
         self.clauses: List[str] = []
         self.body: List[str] = []
         self._new_const_count = 0
-        self._matched: Dict[str, str] = {}  # template name -> C++ expr
+        # type class -> the first matched C++ value of that type
+        self._class_handles: Dict[str, str] = {}
+
+    def _class(self, v: ast.Value) -> str:
+        return self._checker.system.find(self._checker.tv(v))
+
+    def _typed(self, v: ast.Value) -> str:
+        """A matched C++ value with the type of *v*."""
+        handle = self._class_handles.get(self._class(v))
+        if handle is None:
+            raise CodegenError("%s: no matched value has the type of %s"
+                               % (self.t.name, v.name))
+        return handle
 
     # ------------------------------------------------------------------
-    # Source side: match clauses
+    # Source side: the match program
     # ------------------------------------------------------------------
 
-    def _operand_matcher(self, v: ast.Value) -> str:
-        """Matcher expression for an operand inside an instruction match."""
-        if isinstance(v, ast.Input):
-            name = _ident(v.name)
-            self.value_decls.add(name)
-            if v.name in self._matched:
-                return "m_Specific(%s)" % name
-            self._matched[v.name] = name
-            return "m_Value(%s)" % name
-        if isinstance(v, ast.ConstantSymbol):
-            name = _ident(v.name)
-            self.const_decls.add(name)
-            if v.name in self._matched:
-                return "m_Specific(%s)" % name
-            self._matched[v.name] = name
-            return "m_ConstantInt(%s)" % name
-        if isinstance(v, ast.Literal):
-            if v.value == 0:
-                return "m_Zero()"
-            if v.value == 1:
-                return "m_One()"
-            if v.value == -1:
-                return "m_AllOnes()"
-            return "m_SpecificInt(%d)" % v.value
-        if isinstance(v, ast.UndefValue):
-            return "m_Undef()"
-        if isinstance(v, ast.Instruction):
-            # sub-instructions are matched in their own clause; bind a
-            # Value* here and match it afterwards (paper §4: "Alive
-            # currently matches each instruction in a separate clause")
-            name = _ident(v.name)
-            self.value_decls.add(name)
-            if v.name in self._matched:
-                return "m_Specific(%s)" % name
-            self._matched[v.name] = name
-            return "m_Value(%s)" % name
-        raise CodegenError("cannot emit matcher for %r" % (v,))
+    def _print_program(self) -> None:
+        """Print the program's structural steps as ``match`` clauses,
+        then its width steps and constant expressions."""
+        steps = self.program.steps
 
-    def _instruction_matcher(self, inst: ast.Instruction) -> str:
-        if isinstance(inst, ast.BinOp):
-            return "%s(%s, %s)" % (
-                _MATCHERS[inst.opcode],
-                self._operand_matcher(inst.a),
-                self._operand_matcher(inst.b),
-            )
-        if isinstance(inst, ast.ICmp):
-            return "m_ICmp(%s, %s, %s)" % (
-                _ICMP_PRED[inst.cond],
-                self._operand_matcher(inst.a),
-                self._operand_matcher(inst.b),
-            )
-        if isinstance(inst, ast.Select):
-            return "m_Select(%s, %s, %s)" % (
-                self._operand_matcher(inst.c),
-                self._operand_matcher(inst.a),
-                self._operand_matcher(inst.b),
-            )
-        if isinstance(inst, ast.ConvOp):
-            if inst.opcode not in _MATCHERS:
-                raise CodegenError("no matcher for %r" % inst.opcode)
-            return "%s(%s)" % (
-                _MATCHERS[inst.opcode], self._operand_matcher(inst.x)
-            )
-        if isinstance(inst, ast.Copy):
-            return self._operand_matcher(inst.x)
-        raise CodegenError("cannot emit matcher for %r" % (inst,))
+        def each(*kinds):
+            return [step for step in steps if step[0] in kinds]
 
-    def _flag_checks(self, inst: ast.Instruction, cpp_expr: str) -> List[str]:
-        checks = []
-        for flag in getattr(inst, "flags", ()):
-            if flag == "nsw":
-                checks.append(
-                    "cast<OverflowingBinaryOperator>(%s)->hasNoSignedWrap()"
-                    % cpp_expr
-                )
-            elif flag == "nuw":
-                checks.append(
-                    "cast<OverflowingBinaryOperator>(%s)->hasNoUnsignedWrap()"
-                    % cpp_expr
-                )
-            elif flag == "exact":
-                checks.append(
-                    "cast<PossiblyExactOperator>(%s)->isExact()" % cpp_expr
-                )
-        return checks
+        opcodes = {step[1]: step[2] for step in each("opcode")}
+        if each("fail") or 0 not in opcodes:
+            raise CodegenError(
+                "%s: no C++ matcher for a memory, floating-point, undef or "
+                "non-integer conversion pattern" % self.t.name)
+        conds = {step[1]: step[2] for step in each("cond")}
+        values = {step[1]: step for step in each("literal", "constexpr")}
+        consts = {step[1] for step in each("const")}
+        operands: Dict[int, List[int]] = {}
+        for _, r, s, _ in each("load"):
+            operands.setdefault(s, []).append(r)
+        names = {r: name for name, r in self.program.bindings.items()}
+        names.update((r, names[s]) for _, r, s in each("same"))
 
-    def _emit_source(self) -> None:
-        # match the root against I, then each reachable sub-instruction
-        worklist: List[ast.Instruction] = []
-        self._matched[self.root_inst.name] = "I"
-        self.clauses.append(
-            "match(I, %s)" % self._instruction_matcher(self.root_inst)
-        )
-        self.clauses.extend(self._flag_checks(self.root_inst, "I"))
+        # a name is bound by its first occurrence in clause order, which
+        # is not the program's depth-first order
+        handles = {r: "I" if name == self.t.root else _ident(name)
+                   for r, name in names.items()}
+        bound = {self.t.root}
+        self._class_handles[self._class(self._sources[self.t.root])] = "I"
+        expressions = []  # (register, constant expression, names bound)
+        queue = deque([0])
 
-        def queue_subinsts(inst: ast.Instruction):
-            for op in inst.operands():
-                if isinstance(op, ast.Instruction):
-                    worklist.append(op)
+        def operand(r: int) -> str:
+            name = names.get(r)
+            if name is None and values[r][0] == "literal":
+                return _LITERAL_MATCHERS.get(values[r][2],
+                                             "m_SpecificInt(%d)" % values[r][2])
+            if name is None:
+                handles[r] = "CE%d" % (len(expressions) + 1)
+                expressions.append(values[r][1:])
+                value = values[r][2]
+            elif name in bound:
+                return "m_Specific(%s)" % handles[r]
+            else:
+                bound.add(name)
+                value = self._sources[name]
+                if r in opcodes:
+                    queue.append(r)
+            (self.const_decls if r in consts else self.value_decls).add(
+                handles[r])
+            self._class_handles.setdefault(self._class(value), handles[r])
+            return ("m_ConstantInt(%s)" if r in consts
+                    else "m_Value(%s)") % handles[r]
 
-        queue_subinsts(self.root_inst)
-        emitted = {self.root_inst.name}
-        while worklist:
-            inst = worklist.pop(0)
-            if inst.name in emitted:
+        while queue:
+            r = queue.popleft()
+            args = [operand(o) for o in operands[r]]
+            if opcodes[r] == "icmp":
+                args.insert(0, _ICMP_PRED[conds[r]])
+            self.clauses.append("match(%s, %s(%s))" % (
+                handles[r], _MATCHERS[opcodes[r]], ", ".join(args)))
+            self.clauses += [_FLAG_CHECKS[flag] % handles[r]
+                             for _, q, flag in each("flag") if q == r]
+
+        self._print_widths(each("width", "min_width", "same_width",
+                                "smaller"), opcodes, operands, names, handles)
+        for r, e, reads in expressions:
+            unbound = _symbols(e) - {name for name, _ in reads}
+            if unbound:
+                raise CodegenError(
+                    "%s: source constant %s reads %s before any pattern "
+                    "binds it" % (self.t.name, e.name,
+                                  ", ".join(sorted(unbound))))
+            self.clauses.append("%s->getValue() == %s"
+                                % (handles[r], self._apint_expr(e)))
+
+    def _print_widths(self, widths, opcodes, operands, names,
+                      handles) -> None:
+        """Print each width step that neither LLVM's typing of the
+        matched instructions nor an earlier guard implies."""
+        parent: Dict[int, int] = {}
+
+        def find(r: int) -> int:
+            while r in parent:
+                r = parent[r]
+            return r
+
+        def union(a: int, b: int) -> None:
+            if find(a) != find(b):
+                parent[find(a)] = find(b)
+
+        facts = []  # width steps that hold
+        for r, ops in operands.items():
+            opcode = opcodes[r]
+            if opcode in ("zext", "sext", "trunc"):
+                facts.append(("smaller", r, ops[0]) if opcode == "trunc"
+                             else ("smaller", ops[0], r))
                 continue
-            emitted.add(inst.name)
-            cpp_name = _ident(inst.name)
-            self.clauses.append(
-                "match(%s, %s)" % (cpp_name, self._instruction_matcher(inst))
-            )
-            self.clauses.extend(self._flag_checks(inst, cpp_name))
-            queue_subinsts(inst)
+            if opcode in ("icmp", "select"):
+                facts.append(("width", r if opcode == "icmp" else ops[0], 1))
+            tied = ops if opcode == "icmp" else [r] + ops[opcode == "select":]
+            for o in tied[1:]:
+                union(tied[0], o)
+        for r, name in names.items():
+            union(r, self.program.bindings[name])
+
+        def holds(kind: str, r: int, x: int) -> bool:
+            if kind == "same_width":
+                return find(r) == find(x)
+            if kind == "smaller":
+                return any(k == kind and find(a) == find(r)
+                           and find(b) == find(x) for k, a, b in facts)
+            known = [(k, w) for k, a, w in facts
+                     if k != "smaller" and find(a) == find(r)]
+            if kind == "width":
+                return ("width", x) in known
+            return x <= max((w for _, w in known), default=1)
+
+        def handle(r: int) -> str:
+            for q in [r] + sorted(handles):
+                if q in handles and find(q) == find(r):
+                    return handles[q]
+            raise CodegenError("%s: a width check reads a value the C++ "
+                               "does not bind" % self.t.name)
+
+        for kind, r, x in widths:
+            if holds(kind, r, x):
+                continue
+            a = handle(r)
+            if kind == "same_width":
+                union(r, x)
+                guard = "%s->getType() == %s->getType()" % (a, handle(x))
+            else:
+                facts.append((kind, r, x))
+                if kind == "width":
+                    guard = "%s->getType()->isIntegerTy(%d)" % (a, x)
+                elif kind == "min_width":
+                    guard = "%s >= %d" % (_bits(a), x)
+                else:
+                    guard = "%s < %s" % (_bits(a), _bits(handle(x)))
+            self.clauses.append(guard)
 
     # ------------------------------------------------------------------
     # Precondition
@@ -246,7 +314,7 @@ class CppGenerator:
         if isinstance(v, ast.ConstantSymbol):
             return "%s->getValue()" % _ident(v.name)
         if isinstance(v, ast.Literal):
-            return "APInt(width, %d)" % v.value
+            return "APInt(%s, %d)" % (_bits(self._typed(v)), v.value)
         if isinstance(v, ConstExpr):
             if v.op == "neg":
                 return "(-%s)" % self._apint_expr(v.args[0])
@@ -265,11 +333,13 @@ class CppGenerator:
                     self._apint_expr(v.args[1]),
                 )
             if v.op == "log2":
-                return "APInt(width, %s.logBase2())" % self._apint_expr(v.args[0])
+                return "APInt(%s, %s.logBase2())" % (
+                    _bits(self._typed(v)), self._apint_expr(v.args[0]))
             if v.op == "abs":
                 return "%s.abs()" % self._apint_expr(v.args[0])
             if v.op == "width":
-                return "APInt(width, width)"
+                return "APInt(%s, %s)" % (_bits(self._typed(v)),
+                                          _bits(self._typed(v.args[0])))
             if v.op in ("umax", "umin", "smax", "smin"):
                 return "APIntOps::%s(%s, %s)" % (
                     v.op,
@@ -325,12 +395,14 @@ class CppGenerator:
             a = p.args[0]
             if isinstance(a, ast.ConstantSymbol):
                 v = "%s->getValue()" % _ident(a.name)
-                return "(!%s || %s.isPowerOf2())" % (v.replace(".getValue()", ""), v)
+                return "(!%s || %s.isPowerOf2())" % (v, v)
             return "isKnownToBeAPowerOfTwo(%s, /*OrZero=*/true)" % self._value_expr(a)
-        if fn == "isSignBit":
-            return "%s->getValue().isSignBit()" % _ident(p.args[0].name)
-        if fn == "isShiftedMask":
-            return "%s->getValue().isShiftedMask()" % _ident(p.args[0].name)
+        if fn in ("isSignBit", "isShiftedMask"):
+            # the Python matcher holds these false on a non-constant
+            if not isinstance(p.args[0], ast.ConstantSymbol):
+                raise CodegenError("%s of a non-constant has no C++ form"
+                                   % fn)
+            return "%s->getValue().%s()" % (_ident(p.args[0].name), fn)
         if fn == "MaskedValueIsZero":
             return "MaskedValueIsZero(%s, %s)" % (
                 self._value_expr(p.args[0]),
@@ -372,8 +444,8 @@ class CppGenerator:
             "APInt %s = %s;" % (apint_name, self._apint_expr(v))
         )
         self.body.append(
-            "Constant *%s = ConstantInt::get(I->getType(), %s);"
-            % (const_name, apint_name)
+            "Constant *%s = ConstantInt::get(%s->getType(), %s);"
+            % (const_name, self._typed(v), apint_name)
         )
         return const_name
 
@@ -388,7 +460,8 @@ class CppGenerator:
                 and v.name not in self.t.tgt:
             return _ident(v.name)  # a surviving source temporary
         if isinstance(v, ast.Literal):
-            return "ConstantInt::get(I->getType(), %d)" % v.value
+            return "ConstantInt::get(%s->getType(), %d)" % (self._typed(v),
+                                                            v.value)
         if isinstance(v, ConstExpr):
             return self._materialize_constant(v)
         if isinstance(v, ast.BinOp):
@@ -433,7 +506,7 @@ class CppGenerator:
                 raise CodegenError("no creator for %r" % v.opcode)
             self.body.append(
                 "CastInst *%s = CastInst::Create(Instruction::%s, %s, "
-                "I->getType(), \"\", I);" % (name, caster, x)
+                "%s->getType(), \"\", I);" % (name, caster, x, self._typed(v))
             )
             return name
         if isinstance(v, ast.Copy):
@@ -443,18 +516,10 @@ class CppGenerator:
     # ------------------------------------------------------------------
 
     def generate(self) -> str:
-        self._emit_source()
-        pre = self._pred_expr(self.t.pre)
+        self._print_program()
+        pre = self.program.pre and self._pred_expr(self.program.pre)
         if pre:
             self.clauses.append(pre)
-        for a, b in required_type_checks(self.t):
-            ea = "I" if a == self.t.root else _ident(a)
-            eb = "I" if b == self.t.root else _ident(b)
-            if ea in self.value_decls | self.const_decls | {"I"} and \
-               eb in self.value_decls | self.const_decls | {"I"}:
-                self.clauses.append(
-                    "%s->getType() == %s->getType()" % (ea, eb)
-                )
         self._emit_target()
 
         lines = ["// %s" % self.t.name, "{"]

@@ -144,3 +144,154 @@ class TestWholePass:
 
         code = generate_pass(load_all_flat())
         assert code.count("{") == code.count("}")
+
+
+class TestTypeGuards:
+    """Type-equality guards: printed only where the source's own typing
+    (well-formed IR) does not already imply the equality the matcher
+    checks."""
+
+    def test_source_implies_everything(self):
+        code = gen("""
+        %a = xor %x, -1
+        %r = add %a, C
+        =>
+        %r = sub C-1, %x
+        """)
+        assert "getType() ==" not in code
+
+    def test_pure_commute(self):
+        code = gen("%r = add %x, %y\n=>\n%r = add %y, %x")
+        assert condition(code) == ["match(I, m_Add(m_Value(x), m_Value(y)))"]
+
+    def test_target_merges_source_classes(self):
+        # same classes on both sides: no check
+        code = gen("""
+        %a = trunc %x
+        %r = add %a, %a
+        =>
+        %b = trunc %x
+        %r = add %b, %b
+        """)
+        assert "getType() ==" not in code
+
+    def test_select_introduced_by_target(self):
+        code = gen("""
+        %c = icmp eq %x, %y
+        =>
+        %c = icmp eq %y, %x
+        """)
+        assert "getType() ==" not in code
+
+    def test_genuine_target_only_unification(self):
+        # the source never relates %x and %y; the target compares them
+        code = gen("""
+        %c1 = icmp ult %x, %k
+        %c2 = icmp ult %y, %k2
+        %r = and i1 %c1, %c2
+        =>
+        %c3 = icmp ult %x, %y
+        %r = and i1 %c3, %c3
+        """)
+        guards = re.findall(r"(\w+)->getType\(\) == (\w+)->getType\(\)", code)
+        assert guards, "expected a runtime type-equality guard"
+        assert {"x", "y"} & {name for pair in guards for name in pair}
+        # the root is an `and` of two icmps: i1 is implied, not checked
+        assert "isIntegerTy" not in code
+
+
+def corpus_rule(name):
+    from repro.suite import load_all_flat
+
+    return next(t for t in load_all_flat() if t.name == name)
+
+
+def corpus_cpp(name):
+    return generate_cpp(corpus_rule(name))
+
+
+def condition(code):
+    """The clauses of the generated if-condition."""
+    return re.search(r"  if \((.*?)\) \{\n", code, re.S).group(1) \
+        .split(" &&\n      ")
+
+
+class TestWidthSteps:
+    """The C++ checks the widths the Python match program checks."""
+
+    def test_annotated_width_is_guarded(self):
+        # `%r = xor i1 %x, %y`: on an i32 xor the rule must not fire
+        clauses = condition(corpus_cpp("AndOrXor:xor-i1-is-icmp-ne"))
+        assert clauses[1:] == ["x->getType()->isIntegerTy(1)"]
+
+    @pytest.mark.parametrize("name", ["Select:select-zero-is-sext-mask",
+                                      "Select:select-allones-is-or-mask"])
+    def test_sext_target_needs_a_narrower_condition(self, name):
+        # `sext %c` to %r's type needs width(%c) < width(%r)
+        assert "c->getType()->getIntegerBitWidth() < width" in \
+            condition(corpus_cpp(name))
+
+    def test_literal_needs_its_bits(self):
+        # the target's literal 2 makes i1 and i2 instances unverified
+        assert condition(gen("%r = mul %x, 2\n=>\n%r = shl %x, 1"))[1:] == \
+            ["width >= 3"]
+
+    def test_guard_on_a_literal_reads_a_value_of_its_type(self):
+        # the i8 annotation sits on the literal, which binds no C++ name
+        code = gen("%r = icmp eq i8 0, %x\n=>\n%r = icmp eq %x, 0")
+        assert condition(code)[1:] == ["x->getType()->isIntegerTy(8)"]
+
+    def test_figure7_prints_no_guard(self):
+        assert len(condition(TestFigure7.CODE)) == 3
+
+
+class TestConstantTypes:
+    """Constants are built at a matched type of their own class, not
+    at the root's."""
+
+    def test_icmp_constant_at_operand_type(self):
+        code = corpus_cpp("AndOrXor:icmp-ugt-to-uge")
+        assert re.search(r"ConstantInt::get\((x|C)->getType\(\), C1_val\)",
+                         code)
+        assert "APInt(width," not in code
+        assert "C->getValue() != APInt(x->getType()->getIntegerBitWidth(), " \
+               "-1)" in code
+
+    def test_cast_destination_at_its_own_type(self):
+        # %z is compared with %v, so it has %v's (and %w's) type, not i1
+        code = gen("%w = zext %x\n%r = icmp eq %w, %v\n=>\n"
+                   "%z = zext %x\n%r = icmp eq %z, %v")
+        assert re.search(r"CastInst::Create\(Instruction::ZExt, x, "
+                         r"(w|v)->getType\(\)", code)
+
+
+class TestSourceConstantExpressions:
+    def test_width_expression_is_matched(self):
+        code = corpus_cpp("Shifts:signbit-lshr-to-zext-icmp")
+        assert "match(I, m_LShr(m_Value(x), m_ConstantInt(CE1)))" in code
+        assert "CE1->getValue() == (APInt(width, width) - APInt(width, 1))" \
+            in code
+
+    def test_unbound_symbol_is_not_emitted(self):
+        # log2(C) reads C, which no source pattern binds
+        with pytest.raises(CodegenError):
+            corpus_cpp("Shifts:lshr-to-udiv")
+
+    def test_constant_expression_clause_follows_every_binding(self):
+        code = gen("%a = add %x, C\n%r = and %a, C+1\n=>\n%r = and %a, C+1")
+        clauses = condition(code)
+        assert clauses[-1] == "CE1->getValue() == " \
+                              "(C->getValue() + APInt(width, 1))"
+
+
+class TestPreconditionBuiltins:
+    @pytest.mark.parametrize("fn", ["isSignBit", "isShiftedMask"])
+    def test_value_argument_has_no_cpp_form(self, fn):
+        with pytest.raises(CodegenError):
+            gen("Pre: %s(%%y)\n%%r = add %%x, %%y\n=>\n%%r = add %%y, %%x"
+                % fn)
+
+    def test_power_of_two_or_zero(self):
+        code = gen("Pre: isPowerOf2OrZero(C)\n%r = and %x, C\n=>\n"
+                   "%r = and C, %x")
+        assert "(!C->getValue() || C->getValue().isPowerOf2())" in code

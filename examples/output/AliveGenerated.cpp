@@ -300,9 +300,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AddSub:add-nuw-uge
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGE, m_Value(a), m_Value(x))) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Value(x))) &&
+        P0 == ICmpInst::ICMP_UGE &&
         match(a, m_Add(m_Specific(x), m_Value(y))) &&
         cast<OverflowingBinaryOperator>(a)->hasNoUnsignedWrap()) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 1));
@@ -314,9 +316,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *n, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(n), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(n), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(n, m_Sub(m_Zero(), m_Value(x)))) {
       APInt C1_val = (-C->getValue());
       Constant *NC1 = ConstantInt::get(n->getType(), C1_val);
@@ -396,9 +400,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AddSub:icmp-sgt-sub-nsw
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SGT, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_SGT &&
         match(a, m_Sub(m_Value(x), m_Value(y))) &&
         cast<OverflowingBinaryOperator>(a)->hasNoSignedWrap()) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_SGT, x, y);
@@ -803,9 +809,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-eq-self
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(x), m_Specific(x)))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_Specific(x))) &&
+        P0 == ICmpInst::ICMP_EQ) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 1));
       return true;
     }
@@ -814,9 +822,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ne-self
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_NE, m_Value(x), m_Specific(x)))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_Specific(x))) &&
+        P0 == ICmpInst::ICMP_NE) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
     }
@@ -825,9 +835,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ult-zero
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_ULT, m_Value(x), m_Zero()))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_ULT) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
     }
@@ -836,9 +848,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-uge-zero
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGE, m_Value(x), m_Zero()))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_UGE) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 1));
       return true;
     }
@@ -847,9 +861,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ugt-allones
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGT, m_Value(x), m_AllOnes()))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_AllOnes())) &&
+        P0 == ICmpInst::ICMP_UGT) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
     }
@@ -858,9 +874,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-sgt-allones-is-sge-zero
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SGT, m_Value(x), m_AllOnes()))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_AllOnes())) &&
+        P0 == ICmpInst::ICMP_SGT) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_SGE, x, ConstantInt::get(x->getType(), 0));
       I->replaceAllUsesWith(c_new);
       return true;
@@ -871,9 +889,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *a, *x;
     ConstantInt *C1, *C2;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(a), m_ConstantInt(C2))) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_ConstantInt(C2))) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_Add(m_Value(x), m_ConstantInt(C1)))) {
       APInt C1_val = (C2->getValue() - C1->getValue());
       Constant *NC1 = ConstantInt::get(a->getType(), C1_val);
@@ -886,9 +906,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-slt-sub-nsw
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SLT, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_SLT &&
         match(a, m_Sub(m_Value(x), m_Value(y))) &&
         cast<OverflowingBinaryOperator>(a)->hasNoSignedWrap()) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_SLT, x, y);
@@ -900,9 +922,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ne-xor
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_NE, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_NE &&
         match(a, m_Xor(m_Value(x), m_Value(y)))) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_NE, x, y);
       I->replaceAllUsesWith(c_new);
@@ -913,9 +937,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ult-one
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_ULT, m_Value(x), m_One())) &&
+    if (match(I, m_ICmp(P0, m_Value(x), m_One())) &&
+        P0 == ICmpInst::ICMP_ULT &&
         x->getType()->getIntegerBitWidth() >= 2) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_EQ, x, ConstantInt::get(x->getType(), 0));
       I->replaceAllUsesWith(c_new);
@@ -1006,9 +1032,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *a, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_And(m_Value(x), m_ConstantInt(C))) &&
         C->getValue().isPowerOf2()) {
       BinaryOperator *a_new = BinaryOperator::CreateAnd(x, C, "", I);
@@ -1021,11 +1049,14 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-both-zero-and
   {
     Value *c1, *c2, *x, *y;
+    ICmpInst::Predicate P0, P1;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_And(m_Value(c1), m_Value(c2))) &&
-        match(c1, m_ICmp(ICmpInst::ICMP_EQ, m_Value(x), m_Zero())) &&
-        match(c2, m_ICmp(ICmpInst::ICMP_EQ, m_Value(y), m_Zero())) &&
+        match(c1, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ &&
+        match(c2, m_ICmp(P1, m_Value(y), m_Zero())) &&
+        P1 == ICmpInst::ICMP_EQ &&
         y->getType() == x->getType()) {
       BinaryOperator *o_new = BinaryOperator::CreateOr(x, y, "", I);
       ICmpInst *r_new = new ICmpInst(I, ICmpInst::ICMP_EQ, o_new, ConstantInt::get(x->getType(), 0));
@@ -1037,11 +1068,14 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-either-nonzero-or
   {
     Value *c1, *c2, *x, *y;
+    ICmpInst::Predicate P0, P1;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Or(m_Value(c1), m_Value(c2))) &&
-        match(c1, m_ICmp(ICmpInst::ICMP_NE, m_Value(x), m_Zero())) &&
-        match(c2, m_ICmp(ICmpInst::ICMP_NE, m_Value(y), m_Zero())) &&
+        match(c1, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_NE &&
+        match(c2, m_ICmp(P1, m_Value(y), m_Zero())) &&
+        P1 == ICmpInst::ICMP_NE &&
         y->getType() == x->getType()) {
       BinaryOperator *o_new = BinaryOperator::CreateOr(x, y, "", I);
       ICmpInst *r_new = new ICmpInst(I, ICmpInst::ICMP_NE, o_new, ConstantInt::get(x->getType(), 0));
@@ -1054,9 +1088,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGT, m_Value(x), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(x), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_UGT &&
         x->getType()->getIntegerBitWidth() >= 2 &&
         C->getValue() != APInt(x->getType()->getIntegerBitWidth(), -1)) {
       APInt C1_val = (C->getValue() + APInt(x->getType()->getIntegerBitWidth(), 1));
@@ -1071,9 +1107,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SLT, m_Value(x), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(x), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_SLT &&
         x->getType()->getIntegerBitWidth() >= 2 &&
         !(C->getValue().isSignBit())) {
       APInt C1_val = (C->getValue() - APInt(x->getType()->getIntegerBitWidth(), 1));
@@ -1087,9 +1125,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-ugt-zero
   {
     Value *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGT, m_Value(x), m_Zero()))) {
+    if (match(I, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_UGT) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_NE, x, ConstantInt::get(x->getType(), 0));
       I->replaceAllUsesWith(c_new);
       return true;
@@ -1099,9 +1139,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-eq-xor
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_Xor(m_Value(x), m_Value(y)))) {
       ICmpInst *c_new = new ICmpInst(I, ICmpInst::ICMP_EQ, x, y);
       I->replaceAllUsesWith(c_new);
@@ -1113,9 +1155,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *n, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(n), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(n), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(n, m_Xor(m_Value(x), m_AllOnes()))) {
       APInt C1_val = (~C->getValue());
       Constant *NC1 = ConstantInt::get(n->getType(), C1_val);
@@ -1129,9 +1173,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *n, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SLT, m_Value(n), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(n), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_SLT &&
         match(n, m_Xor(m_Value(x), m_AllOnes()))) {
       APInt C1_val = (~C->getValue());
       Constant *NC1 = ConstantInt::get(n->getType(), C1_val);
@@ -1145,9 +1191,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *a, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_Or(m_Value(x), m_ConstantInt(C))) &&
         C->getValue() != APInt(a->getType()->getIntegerBitWidth(), 0)) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
@@ -1159,9 +1207,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *a, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGT, m_Value(a), m_ConstantInt(C))) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_ConstantInt(C))) &&
+        P0 == ICmpInst::ICMP_UGT &&
         match(a, m_And(m_Value(x), m_Specific(C)))) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
@@ -1171,9 +1221,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-or-ge-operand
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_ULT, m_Value(a), m_Value(x))) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Value(x))) &&
+        P0 == ICmpInst::ICMP_ULT &&
         match(a, m_Or(m_Specific(x), m_Value(y)))) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
@@ -1183,9 +1235,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-and-le-operand
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_UGT, m_Value(a), m_Value(x))) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Value(x))) &&
+        P0 == ICmpInst::ICMP_UGT &&
         match(a, m_And(m_Specific(x), m_Value(y)))) {
       I->replaceAllUsesWith(ConstantInt::get(I->getType(), 0));
       return true;
@@ -1195,9 +1249,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:xor-sign-split
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_SLT, m_Value(a), m_Zero())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_Zero())) &&
+        P0 == ICmpInst::ICMP_SLT &&
         match(a, m_Xor(m_Value(x), m_Value(y)))) {
       ICmpInst *cx_new = new ICmpInst(I, ICmpInst::ICMP_SLT, x, ConstantInt::get(a->getType(), 0));
       ICmpInst *cy_new = new ICmpInst(I, ICmpInst::ICMP_SLT, y, ConstantInt::get(a->getType(), 0));
@@ -1210,9 +1266,11 @@ static bool runAliveOptimizations(Instruction *I) {
   // AndOrXor:icmp-eq-allones-and
   {
     Value *a, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(a), m_AllOnes())) &&
+    if (match(I, m_ICmp(P0, m_Value(a), m_AllOnes())) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_And(m_Value(x), m_Value(y)))) {
       ICmpInst *cx_new = new ICmpInst(I, ICmpInst::ICMP_EQ, x, ConstantInt::get(a->getType(), -1));
       ICmpInst *cy_new = new ICmpInst(I, ICmpInst::ICMP_EQ, y, ConstantInt::get(a->getType(), -1));
@@ -1717,10 +1775,12 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *c, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_ConstantInt(C), m_Value(x))) &&
-        match(c, m_ICmp(ICmpInst::ICMP_EQ, m_Specific(x), m_Specific(C)))) {
+        match(c, m_ICmp(P0, m_Specific(x), m_Specific(C))) &&
+        P0 == ICmpInst::ICMP_EQ) {
       I->replaceAllUsesWith(x);
       return true;
     }
@@ -1730,10 +1790,12 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *c, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_Value(x), m_ConstantInt(C))) &&
-        match(c, m_ICmp(ICmpInst::ICMP_NE, m_Specific(x), m_Specific(C)))) {
+        match(c, m_ICmp(P0, m_Specific(x), m_Specific(C))) &&
+        P0 == ICmpInst::ICMP_NE) {
       I->replaceAllUsesWith(x);
       return true;
     }
@@ -1742,10 +1804,12 @@ static bool runAliveOptimizations(Instruction *I) {
   // Select:sign-to-ashr
   {
     Value *c, *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_AllOnes(), m_Zero())) &&
-        match(c, m_ICmp(ICmpInst::ICMP_SLT, m_Value(x), m_Zero())) &&
+        match(c, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_SLT &&
         x->getType() == I->getType() &&
         width >= 2) {
       APInt C1_val = (APInt(width, width) - APInt(width, 1));
@@ -1816,10 +1880,12 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *a, *c, *x;
     ConstantInt *C;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_Zero(), m_Value(a))) &&
-        match(c, m_ICmp(ICmpInst::ICMP_EQ, m_Value(x), m_Zero())) &&
+        match(c, m_ICmp(P0, m_Value(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(a, m_And(m_Specific(x), m_ConstantInt(C)))) {
       I->replaceAllUsesWith(a);
       return true;
@@ -1829,10 +1895,12 @@ static bool runAliveOptimizations(Instruction *I) {
   // Select:umax-canonical
   {
     Value *c1, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c1), m_Value(x), m_Value(y))) &&
-        match(c1, m_ICmp(ICmpInst::ICMP_UGT, m_Specific(x), m_Specific(y)))) {
+        match(c1, m_ICmp(P0, m_Specific(x), m_Specific(y))) &&
+        P0 == ICmpInst::ICMP_UGT) {
       ICmpInst *c2_new = new ICmpInst(I, ICmpInst::ICMP_ULT, y, x);
       SelectInst *r_new = SelectInst::Create(c2_new, x, y, "", I);
       I->replaceAllUsesWith(r_new);
@@ -1843,10 +1911,12 @@ static bool runAliveOptimizations(Instruction *I) {
   // Select:smin-canonical
   {
     Value *c1, *x, *y;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c1), m_Value(y), m_Value(x))) &&
-        match(c1, m_ICmp(ICmpInst::ICMP_SGT, m_Specific(x), m_Specific(y)))) {
+        match(c1, m_ICmp(P0, m_Specific(x), m_Specific(y))) &&
+        P0 == ICmpInst::ICMP_SGT) {
       ICmpInst *c2_new = new ICmpInst(I, ICmpInst::ICMP_SLT, y, x);
       SelectInst *r_new = SelectInst::Create(c2_new, y, x, "", I);
       I->replaceAllUsesWith(r_new);
@@ -1886,9 +1956,11 @@ static bool runAliveOptimizations(Instruction *I) {
   {
     Value *c, *s;
     ConstantInt *C1, *C2;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
-    if (match(I, m_ICmp(ICmpInst::ICMP_EQ, m_Value(s), m_ConstantInt(C1))) &&
+    if (match(I, m_ICmp(P0, m_Value(s), m_ConstantInt(C1))) &&
+        P0 == ICmpInst::ICMP_EQ &&
         match(s, m_Select(m_Value(c), m_Specific(C1), m_ConstantInt(C2))) &&
         c->getType() == I->getType() &&
         C1->getValue() != C2->getValue()) {
@@ -1913,10 +1985,12 @@ static bool runAliveOptimizations(Instruction *I) {
   // Select:icmp-ne-zero-identity
   {
     Value *c, *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_Value(x), m_Zero())) &&
-        match(c, m_ICmp(ICmpInst::ICMP_NE, m_Specific(x), m_Zero()))) {
+        match(c, m_ICmp(P0, m_Specific(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_NE) {
       I->replaceAllUsesWith(x);
       return true;
     }
@@ -1925,10 +1999,12 @@ static bool runAliveOptimizations(Instruction *I) {
   // Select:icmp-eq-zero-identity
   {
     Value *c, *x;
+    ICmpInst::Predicate P0;
     unsigned width = I->getType()->getIntegerBitWidth();
     (void)width;
     if (match(I, m_Select(m_Value(c), m_Zero(), m_Value(x))) &&
-        match(c, m_ICmp(ICmpInst::ICMP_EQ, m_Specific(x), m_Zero()))) {
+        match(c, m_ICmp(P0, m_Specific(x), m_Zero())) &&
+        P0 == ICmpInst::ICMP_EQ) {
       I->replaceAllUsesWith(x);
       return true;
     }

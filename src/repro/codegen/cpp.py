@@ -12,10 +12,14 @@ pattern-matching library, in the exact shape of Figure 7:
   instructions, and calls ``replaceAllUsesWith`` on the root.
 
 The source side is printed from the rule's
-:class:`~repro.opt.matcher.MatchProgram`, the same checks that the
-executable analogue, :mod:`repro.opt`, runs in Python.  The output is
-textual C++ (there is no LLVM to link against); structural fidelity to
-Figure 7 is covered by the test suite.
+:class:`~repro.opt.matcher.MatchProgram` and the body from its
+:class:`~repro.opt.rewriter.TargetProgram`: the same steps that the
+executable analogue, :mod:`repro.opt`, runs in Python, so a rule is
+matched and rewritten by one definition in both.  Every type handle
+(a ``getType()`` or a bit width) is a matched value of the right type
+class, as :meth:`~repro.opt.matcher.MatchProgram.width_of` names it.
+The output is textual C++ (there is no LLVM to link against);
+structural fidelity to Figure 7 is covered by the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import re
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set
 
-from ..core.typecheck import TypeChecker
 from ..ir import ast
 from ..ir.constexpr import ConstExpr
 from ..ir.precond import (
@@ -36,7 +39,8 @@ from ..ir.precond import (
     PredTrue,
     Predicate,
 )
-from ..opt.matcher import TemplateMatcher
+from ..opt.matcher import _NAMED, TemplateMatcher
+from ..opt.rewriter import RewriteError, TargetProgram
 
 _MATCHERS = {
     "add": "m_Add",
@@ -74,6 +78,22 @@ _CREATORS = {
     "or": "CreateOr",
     "xor": "CreateXor",
 }
+
+_CASTS = {"zext": "ZExt", "sext": "SExt", "trunc": "Trunc"}
+
+#: the statement that creates target instruction {0} over the operands
+#: {1}; {2} is a cast's type and {3} an icmp's predicate
+_CREATE = {
+    "icmp": "ICmpInst *{0} = new ICmpInst(I, {3}, {1});",
+    "select": 'SelectInst *{0} = SelectInst::Create({1}, "", I);',
+    **{opcode: 'BinaryOperator *{0} = BinaryOperator::%s({1}, "", I);'
+       % creator for opcode, creator in _CREATORS.items()},
+    **{opcode: 'CastInst *{0} = CastInst::Create(Instruction::%s, {1}, {2}, '
+       '"", I);' % cast for opcode, cast in _CASTS.items()},
+}
+
+_FLAG_SETTERS = (("nsw", "setHasNoSignedWrap"),
+                 ("nuw", "setHasNoUnsignedWrap"), ("exact", "setIsExact"))
 
 _ICMP_PRED = {
     "eq": "ICmpInst::ICMP_EQ", "ne": "ICmpInst::ICMP_NE",
@@ -124,41 +144,41 @@ def _symbols(e: ast.Value) -> Set[str]:
     """The names a constant expression reads, ``width`` arguments too."""
     if isinstance(e, ConstExpr):
         return set().union(*map(_symbols, e.args))
-    named = (ast.Input, ast.ConstantSymbol, ast.Instruction)
-    return {e.name} if isinstance(e, named) else set()
+    return {e.name} if isinstance(e, _NAMED) else set()
 
 
 class CppGenerator:
     """Generates the Figure 7-style C++ for one transformation.
 
     Constants, APInt literals and cast destinations take the type of
-    the first matched value in their type class.
+    the matched value that the match program names for their type
+    class.
     """
 
     def __init__(self, t: ast.Transformation):
         self.t = t
         self.program = TemplateMatcher(t).program
-        self._checker = TypeChecker()
-        self._checker.check_transformation(t)
-        self._sources = {v.name: v for v in t.source_values()}
+        try:
+            self.target = TargetProgram(t, self.program)
+        except RewriteError as e:
+            raise CodegenError(str(e)) from e
         self.value_decls: Set[str] = set()
         self.const_decls: Set[str] = set()
+        self.predicates: List[str] = []
         self.clauses: List[str] = []
         self.body: List[str] = []
-        self._new_const_count = 0
-        # type class -> the first matched C++ value of that type
-        self._class_handles: Dict[str, str] = {}
 
-    def _class(self, v: ast.Value) -> str:
-        return self._checker.system.find(self._checker.tv(v))
+    def _handle(self, name) -> str:
+        """The C++ value bound to the template name *name*; a width
+        source that is a fixed width names no C++ value."""
+        if not isinstance(name, str):
+            raise CodegenError("%s: no matched value has a type of width %s"
+                               % (self.t.name, name))
+        return "I" if name == self.t.root else _ident(name)
 
-    def _typed(self, v: ast.Value) -> str:
-        """A matched C++ value with the type of *v*."""
-        handle = self._class_handles.get(self._class(v))
-        if handle is None:
-            raise CodegenError("%s: no matched value has the type of %s"
-                               % (self.t.name, v.name))
-        return handle
+    def _bits_of(self, v: ast.Value) -> str:
+        """The bit width of *v*'s type, read off a matched value."""
+        return _bits(self._handle(self.program.width_of(v)))
 
     # ------------------------------------------------------------------
     # Source side: the match program
@@ -188,10 +208,8 @@ class CppGenerator:
 
         # a name is bound by its first occurrence in clause order, which
         # is not the program's depth-first order
-        handles = {r: "I" if name == self.t.root else _ident(name)
-                   for r, name in names.items()}
+        handles = {r: self._handle(name) for r, name in names.items()}
         bound = {self.t.root}
-        self._class_handles[self._class(self._sources[self.t.root])] = "I"
         expressions = []  # (register, constant expression, names bound)
         queue = deque([0])
 
@@ -203,29 +221,30 @@ class CppGenerator:
             if name is None:
                 handles[r] = "CE%d" % (len(expressions) + 1)
                 expressions.append(values[r][1:])
-                value = values[r][2]
             elif name in bound:
                 return "m_Specific(%s)" % handles[r]
             else:
                 bound.add(name)
-                value = self._sources[name]
                 if r in opcodes:
                     queue.append(r)
             (self.const_decls if r in consts else self.value_decls).add(
                 handles[r])
-            self._class_handles.setdefault(self._class(value), handles[r])
             return ("m_ConstantInt(%s)" if r in consts
                     else "m_Value(%s)") % handles[r]
 
         while queue:
             r = queue.popleft()
             args = [operand(o) for o in operands[r]]
-            if opcodes[r] == "icmp":
-                args.insert(0, _ICMP_PRED[conds[r]])
+            tests = [_FLAG_CHECKS[flag] % handles[r]
+                     for _, q, flag in each("flag") if q == r]
+            if r in conds:  # m_ICmp binds the predicate, a test compares it
+                self.predicates.append("P%d" % len(self.predicates))
+                args.insert(0, self.predicates[-1])
+                tests.insert(0, "%s == %s" % (self.predicates[-1],
+                                              _ICMP_PRED[conds[r]]))
             self.clauses.append("match(%s, %s(%s))" % (
                 handles[r], _MATCHERS[opcodes[r]], ", ".join(args)))
-            self.clauses += [_FLAG_CHECKS[flag] % handles[r]
-                             for _, q, flag in each("flag") if q == r]
+            self.clauses += tests
 
         self._print_widths(each("width", "min_width", "same_width",
                                 "smaller"), opcodes, operands, names, handles)
@@ -314,7 +333,7 @@ class CppGenerator:
         if isinstance(v, ast.ConstantSymbol):
             return "%s->getValue()" % _ident(v.name)
         if isinstance(v, ast.Literal):
-            return "APInt(%s, %d)" % (_bits(self._typed(v)), v.value)
+            return "APInt(%s, %d)" % (self._bits_of(v), v.value)
         if isinstance(v, ConstExpr):
             if v.op == "neg":
                 return "(-%s)" % self._apint_expr(v.args[0])
@@ -334,12 +353,12 @@ class CppGenerator:
                 )
             if v.op == "log2":
                 return "APInt(%s, %s.logBase2())" % (
-                    _bits(self._typed(v)), self._apint_expr(v.args[0]))
+                    self._bits_of(v), self._apint_expr(v.args[0]))
             if v.op == "abs":
                 return "%s.abs()" % self._apint_expr(v.args[0])
             if v.op == "width":
-                return "APInt(%s, %s)" % (_bits(self._typed(v)),
-                                          _bits(self._typed(v.args[0])))
+                return "APInt(%s, %s)" % (self._bits_of(v),
+                                          self._bits_of(v.args[0]))
             if v.op in ("umax", "umin", "smax", "smin"):
                 return "APIntOps::%s(%s, %s)" % (
                     v.op,
@@ -421,97 +440,43 @@ class CppGenerator:
         raise CodegenError("no C++ emission for predicate %r" % fn)
 
     # ------------------------------------------------------------------
-    # Target side
+    # Target side: the target program
     # ------------------------------------------------------------------
 
-    def _emit_target(self) -> None:
-        built: Dict[str, str] = {}
-        root_cpp = None
-        for name, inst in self.t.tgt.items():
-            cpp = self._build_target_value(inst, built)
-            built[name] = cpp
-            if name == self.t.root:
-                root_cpp = cpp
-        if root_cpp is None:
-            raise CodegenError("target has no root %s" % self.t.root)
-        self.body.append("I->replaceAllUsesWith(%s);" % root_cpp)
-
-    def _materialize_constant(self, v: ast.Value) -> str:
-        self._new_const_count += 1
-        apint_name = "C%d_val" % self._new_const_count
-        const_name = "NC%d" % self._new_const_count
-        self.body.append(
-            "APInt %s = %s;" % (apint_name, self._apint_expr(v))
-        )
-        self.body.append(
-            "Constant *%s = ConstantInt::get(%s->getType(), %s);"
-            % (const_name, self._typed(v), apint_name)
-        )
-        return const_name
-
-    def _build_target_value(self, v: ast.Value, built: Dict[str, str]) -> str:
-        if isinstance(v, ast.Instruction) and v.name in built:
-            return built[v.name]
-        if isinstance(v, (ast.Input,)):
-            return _ident(v.name)
-        if isinstance(v, ast.ConstantSymbol):
-            return _ident(v.name)
-        if isinstance(v, ast.Instruction) and v.name in self.t.src \
-                and v.name not in self.t.tgt:
-            return _ident(v.name)  # a surviving source temporary
-        if isinstance(v, ast.Literal):
-            return "ConstantInt::get(%s->getType(), %d)" % (self._typed(v),
-                                                            v.value)
-        if isinstance(v, ConstExpr):
-            return self._materialize_constant(v)
-        if isinstance(v, ast.BinOp):
-            a = self._build_target_value(v.a, built)
-            b = self._build_target_value(v.b, built)
-            name = _ident(v.name) + "_new"
-            self.body.append(
-                "BinaryOperator *%s = BinaryOperator::%s(%s, %s, \"\", I);"
-                % (name, _CREATORS[v.opcode], a, b)
-            )
-            if "nsw" in v.flags:
-                self.body.append("%s->setHasNoSignedWrap(true);" % name)
-            if "nuw" in v.flags:
-                self.body.append("%s->setHasNoUnsignedWrap(true);" % name)
-            if "exact" in v.flags:
-                self.body.append("%s->setIsExact(true);" % name)
-            return name
-        if isinstance(v, ast.ICmp):
-            a = self._build_target_value(v.a, built)
-            b = self._build_target_value(v.b, built)
-            name = _ident(v.name) + "_new"
-            self.body.append(
-                "ICmpInst *%s = new ICmpInst(I, %s, %s, %s);"
-                % (name, _ICMP_PRED[v.cond], a, b)
-            )
-            return name
-        if isinstance(v, ast.Select):
-            c = self._build_target_value(v.c, built)
-            a = self._build_target_value(v.a, built)
-            b = self._build_target_value(v.b, built)
-            name = _ident(v.name) + "_new"
-            self.body.append(
-                "SelectInst *%s = SelectInst::Create(%s, %s, %s, \"\", I);"
-                % (name, c, a, b)
-            )
-            return name
-        if isinstance(v, ast.ConvOp):
-            x = self._build_target_value(v.x, built)
-            name = _ident(v.name) + "_new"
-            caster = {"zext": "ZExt", "sext": "SExt", "trunc": "Trunc"}.get(v.opcode)
-            if caster is None:
-                raise CodegenError("no creator for %r" % v.opcode)
-            self.body.append(
-                "CastInst *%s = CastInst::Create(Instruction::%s, %s, "
-                "%s->getType(), \"\", I);" % (name, caster, x, self._typed(v))
-            )
-            return name
-        if isinstance(v, ast.Copy):
-            return self._build_target_value(v.x, built)
-        raise CodegenError("cannot build target value %r" % (v,))
+    def _print_target(self) -> None:
+        """Print each step of the target program as the C++ value it
+        builds, its statements going into the body."""
+        values: List[str] = []
+        constants = 0
+        for step in self.target.steps:
+            if step[0] == "name":
+                values.append(self._handle(step[1]))
+                continue
+            kind, width, what = step[:3]
+            if kind == "const" or what in _CASTS:
+                ty = "%s->getType()" % self._handle(width)
+            if isinstance(what, ast.Literal):
+                values.append("ConstantInt::get(%s, %d)" % (ty, what.value))
+            elif kind == "const":
+                constants += 1
+                self.body += [
+                    "APInt C%d_val = %s;"
+                    % (constants, self._apint_expr(what)),
+                    "Constant *NC%d = ConstantInt::get(%s, C%d_val);"
+                    % (constants, ty, constants)]
+                values.append("NC%d" % constants)
+            else:
+                _, _, _, operands, flags, cond, name = step
+                new = _ident(name) + "_new"
+                self.body.append(_CREATE[what].format(
+                    new, ", ".join(values[o] for o in operands),
+                    what in _CASTS and ty, _ICMP_PRED.get(cond)))
+                self.body += ["%s->%s(true);" % (new, setter)
+                              for flag, setter in _FLAG_SETTERS
+                              if flag in flags]
+                values.append(new)
+        self.body.append("I->replaceAllUsesWith(%s);"
+                         % values[self.target.root])
 
     # ------------------------------------------------------------------
 
@@ -520,7 +485,7 @@ class CppGenerator:
         pre = self.program.pre and self._pred_expr(self.program.pre)
         if pre:
             self.clauses.append(pre)
-        self._emit_target()
+        self._print_target()
 
         lines = ["// %s" % self.t.name, "{"]
         if self.value_decls:
@@ -529,6 +494,9 @@ class CppGenerator:
             lines.append(
                 "  ConstantInt *%s;" % ", *".join(sorted(self.const_decls))
             )
+        if self.predicates:
+            lines.append("  ICmpInst::Predicate %s;"
+                         % ", ".join(self.predicates))
         lines.append("  unsigned width = I->getType()->getIntegerBitWidth();")
         lines.append("  (void)width;")
         cond = " &&\n      ".join(self.clauses)

@@ -68,6 +68,7 @@ ANY, CONST, NEVER = "any", "const", "never"
 ARG = "arg"
 
 _CONVERSIONS = ("zext", "sext", "trunc")
+_NAMED = (ast.Input, ast.ConstantSymbol, ast.Instruction)
 
 #: an instruction's dispatch key: opcode, cond, flags, operand shapes
 Key = Tuple[str, Optional[str], FrozenSet[str], Tuple[object, ...]]
@@ -286,6 +287,39 @@ class MatchProgram:
                 checks.append(("smaller" if tag == SMALLER else "same_width",
                                first[a], first[b]))
         steps.extend(dict.fromkeys(checks))  # width checks commute
+        self._typing = checker
+        # type class -> the bound name of its lowest matched register;
+        # the width steps make every matched value of a class that wide
+        self._typed = {}
+        for _, name, cls in sorted(
+                (names[v.name], v.name, class_of[id(v)]) for v in values
+                if isinstance(v, _NAMED) and v.name in names):
+            self._typed.setdefault(cls, name)
+
+    def width_of(self, v: ast.Value):
+        """Where a value of *v*'s type takes its width from: the bound
+        name of a matched value of that type (the root's name in the
+        root's type), else the width the typing fixes (``BOOL``, an
+        ``iN`` annotation), else None."""
+        least, most = self.width_range(v)
+        return self._typed.get(self._class(v)) or (
+            least if least == most else None)
+
+    def _class(self, v: ast.Value) -> str:
+        return self._typing.system.find(self._typing.tv(v))
+
+    def width_range(self, v: ast.Value) -> Tuple[int, Optional[int]]:
+        """The least and the greatest width (None: unbounded) that the
+        typing lets a value of *v*'s type have; the width steps check
+        both on every matched value."""
+        least, most = 1, None
+        for tag, payload in self._typing.system.unary.get(self._class(v), ()):
+            if tag == BOOL or (tag == FIXED and isinstance(payload, IntType)):
+                most = 1 if tag == BOOL else payload.width
+                least = max(least, most)
+            elif tag == MIN_WIDTH:
+                least = max(least, payload)
+        return least, most
 
 
 #: each test step as the Python condition under which it fails
@@ -353,7 +387,7 @@ class TemplateMatcher:
         return self._call_holds(atom, bindings, analyses)
 
     def _width_of(self, e: ast.Value, bindings: Dict[str, MValue]) -> Optional[int]:
-        if isinstance(e, (ast.Input, ast.ConstantSymbol, ast.Instruction)):
+        if isinstance(e, _NAMED):
             bound = bindings.get(e.name)
             return bound.width if bound is not None else None
         if isinstance(e, ConstExpr):
@@ -366,12 +400,8 @@ class TemplateMatcher:
     def _call_holds(self, call: PredCall, bindings: Dict[str, MValue],
                     analyses: Analyses) -> bool:
         fn = call.fn
-        args = [
-            bindings.get(a.name)
-            if isinstance(a, (ast.Input, ast.ConstantSymbol, ast.Instruction))
-            else None
-            for a in call.args
-        ]
+        args = [bindings.get(a.name) if isinstance(a, _NAMED) else None
+                for a in call.args]
         if any(v is None for v in args):
             # a constant expression or literal argument is the constant
             # it evaluates to, at the width another argument fixes

@@ -19,7 +19,7 @@ from ..ir.module import MFunction, MInstr, Module
 from .analysis import Analyses
 from .dce import run_dce
 from .matcher import Key, TemplateMatcher, instruction_key
-from .rewriter import RewriteError, Rewriter
+from .rewriter import RewriteError, Rewriter, TargetProgram
 
 
 class PeepholeOpt:
@@ -30,17 +30,15 @@ class PeepholeOpt:
         self.name = transformation.name
         self.matcher = TemplateMatcher(transformation)
         self.guard = self.matcher.guard
-        self.rewriter = Rewriter(transformation)
+        self.rewriter = Rewriter(TargetProgram(transformation,
+                                               self.matcher.program))
 
     def try_apply(self, fn: MFunction, inst: MInstr,
                   analyses: Analyses) -> bool:
         match = self.matcher.match(inst, analyses)
         if match is None:
             return False
-        try:
-            self.rewriter.apply(fn, match)
-        except RewriteError:
-            return False
+        self.rewriter.apply(fn, match)
         return True
 
 
@@ -122,14 +120,13 @@ class PeepholePass:
 
 
 def compile_opts(transformations: Sequence[ast.Transformation]) -> List[PeepholeOpt]:
-    """Compile transformations into appliable optimizations, skipping the
-    ones whose source templates use features the matcher does not cover
-    (memory templates are verified but not auto-applied)."""
+    """Compile transformations into appliable optimizations, skipping
+    the ones whose target the rewriter cannot build (memory, FP and
+    undef templates are verified but not applied)."""
     out = []
     for t in transformations:
-        root = t.src[t.root]
-        if isinstance(root, (ast.Store, ast.Load, ast.Alloca, ast.GEP,
-                             ast.Unreachable)):
+        try:
+            out.append(PeepholeOpt(t))
+        except RewriteError:
             continue
-        out.append(PeepholeOpt(t))
     return out

@@ -1,162 +1,163 @@
 """Applying a matched transformation to concrete IR (paper §4).
 
-Mirrors the body of the generated C++: create the target template's
-instructions, materialize constant expressions as ``ConstantInt``-style
-constants, wire operands to the matched bindings, and
-``replaceAllUsesWith`` the root.  Like the paper's generated code, the
+Each rule's target template is compiled once, when the rule is, into a
+:class:`TargetProgram`: straight-line steps that build constants and
+instructions over the matched values, each at a width the match
+program's typing gives it.  :meth:`Rewriter.apply` runs the steps
+before the matched root and ``replaceAllUsesWith``-es the root, as the
+body of the generated C++ does; :mod:`repro.codegen.cpp` prints the
+same steps as that body.  Like the paper's generated code, the
 rewriter leaves dead instructions behind for a later DCE pass.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, List
 
 from ..ir import ast
-from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
-from ..ir.module import MConst, MFunction, MInstr, MValue
-from .matcher import Match
-
+from ..ir.constexpr import ConstExpr, eval_constexpr
+from ..ir.module import MConst, MFunction, MValue
+from .matcher import (
+    _CONVERSIONS, _NAMED, CONSTEXPR, COPY, LITERAL, Match, MatchProgram, _case,
+)
 
 class RewriteError(ast.AliveError):
-    """The target template cannot be materialized for this match."""
+    """The target template cannot be built from what the rule matches."""
+
+
+def _width(source, bindings: Dict[str, MValue]) -> int:
+    """A width source (:meth:`MatchProgram.width_of`) under a match."""
+    return source if source.__class__ is int else bindings[source].width
+
+
+class TargetProgram:
+    """A target template compiled once into straight-line steps.
+
+    Step *i* defines register *i*:
+
+    * ``("name", name)``: the matched value bound to *name*, an input,
+      a constant or a source instruction the target keeps;
+    * ``("const", width, e, reads)``: the literal or constant
+      expression *e* at *width*; *reads* maps the ``id`` of each symbol
+      and ``width(%x)`` in *e* to a function of the bindings;
+    * ``("inst", width, opcode, operands, flags, cond, name)``: a new
+      instruction over the registers *operands*, for the target
+      instruction *name*.
+
+    A ``Copy`` adds no step.  A width is read off the match or fixed,
+    as :meth:`MatchProgram.width_of` gives it for the step's type.
+    ``root`` is the register that replaces the root.  A target the
+    steps cannot build (undef, FP, memory, other conversions, a name
+    the match does not bind, a type with neither a matched value nor a
+    fixed width, a cast whose widths no check orders) raises
+    :class:`RewriteError` here, so a rule that matches always rewrites.
+    """
+
+    def __init__(self, t: ast.Transformation, program: MatchProgram):
+        self.steps: List[tuple] = []
+        self._t = t
+        self._program = program
+        registers: Dict[str, int] = {}  # name -> register
+        for name, inst in t.tgt.items():
+            registers[name] = self._build(inst, registers)
+        if t.root not in registers:
+            raise RewriteError("%s: the target does not define the root"
+                               % t.name)
+        self.root = registers[t.root]
+
+    def _emit(self, step: tuple) -> int:
+        self.steps.append(step)
+        return len(self.steps) - 1
+
+    def _fail(self, what: str):
+        return RewriteError("%s: cannot build %s" % (self._t.name, what))
+
+    def _width(self, v: ast.Value):
+        source = self._program.width_of(v)
+        if source is None:
+            raise self._fail("%s, its type has no width" % v.name)
+        return source
+
+    def _build(self, v: ast.Value, registers: Dict[str, int]) -> int:
+        """Steps that build *v*, read from the cases that the match
+        program is compiled from; returns its register."""
+        case = _case(v)
+        if case == COPY:
+            return self._operand(v.x, registers)
+        if case in (LITERAL, CONSTEXPR):
+            return self._emit(("const", self._width(v), v, self._reads(v)))
+        if not isinstance(case, tuple):
+            raise self._fail(v.name)
+        opcode, cond, flags, operands = case
+        if opcode in _CONVERSIONS:
+            narrow, wide = (v, operands[0]) if opcode == "trunc" \
+                else (operands[0], v)
+            if not self._narrower(narrow, wide):
+                raise self._fail("%s, no check orders its widths" % v.name)
+        operands = tuple(self._operand(o, registers) for o in operands)
+        return self._emit(("inst", self._width(v), opcode, operands, flags,
+                           cond, v.name))
+
+    def _operand(self, v: ast.Value, registers: Dict[str, int]) -> int:
+        if not isinstance(v, _NAMED):
+            return self._build(v, registers)
+        if v.name not in registers:
+            if v.name not in self._program.bindings or v.name in self._t.tgt:
+                raise self._fail("%s, it is not matched" % v.name)
+            registers[v.name] = self._emit(("name", v.name))
+        return registers[v.name]
+
+    def _narrower(self, narrow: ast.Value, wide: ast.Value) -> bool:
+        """Whether every match makes *narrow* narrower than *wide*: the
+        match program's ``smaller`` step, where both types have a
+        matched value, or the ranges of the two types."""
+        if isinstance(self._width(narrow), str) \
+                and isinstance(self._width(wide), str):
+            return True
+        most = self._program.width_range(narrow)[1]
+        return most is not None and most < self._program.width_range(wide)[0]
+
+    def _reads(self, e: ast.Value) -> Dict[int, Callable]:
+        """What each symbol and ``width`` node of the constant *e* reads
+        off the bindings."""
+        if isinstance(e, ast.ConstantSymbol):
+            if e.name not in self._program.bindings:
+                raise self._fail("%s, it is not matched" % e.name)
+            return {id(e): lambda bindings: bindings[e.name].value}
+        if isinstance(e, ConstExpr) and e.op == "width":
+            source = self._width(e.args[0])
+            return {id(e): lambda bindings: _width(source, bindings)}
+        reads = {}
+        for a in e.operands():
+            reads.update(self._reads(a))
+        return reads
 
 
 class Rewriter:
-    """Materializes the target template of one transformation."""
+    """Runs the target program of one transformation."""
 
-    def __init__(self, transformation: ast.Transformation):
-        self.t = transformation
+    def __init__(self, program: TargetProgram):
+        self.program = program
 
     def apply(self, fn: MFunction, match: Match) -> MValue:
         """Rewrite *fn* in place; returns the new root value."""
-        built: Dict[str, MValue] = {}
-        root_inst = match.root
-        new_root: Optional[MValue] = None
-        for name, inst in self.t.tgt.items():
-            value = self._build(inst, fn, match, built, root_inst)
-            built[name] = value
-            if name == self.t.root:
-                new_root = value
-        if new_root is None:
-            raise RewriteError("target did not produce the root %s" % self.t.root)
-        fn.replace_all_uses(root_inst, new_root)
-        return new_root
-
-    # ------------------------------------------------------------------
-
-    def _build_pair(self, va: ast.Value, vb: ast.Value, fn: MFunction,
-                    match: Match, built: Dict[str, MValue], before: MInstr,
-                    width_hint):
-        """Build two sibling operands, resolving constant widths from the
-        non-constant sibling (LLVM's type unification at codegen, §4)."""
-        a_const = isinstance(va, (ast.Literal, ConstExpr))
-        b_const = isinstance(vb, (ast.Literal, ConstExpr))
-        if a_const and not b_const:
-            b = self._build(vb, fn, match, built, before, width_hint)
-            a = self._build(va, fn, match, built, before, b.width)
-        else:
-            a = self._build(va, fn, match, built, before, width_hint)
-            b = self._build(vb, fn, match, built, before, a.width)
-        return a, b
-
-    def _build(self, v: ast.Value, fn: MFunction, match: Match,
-               built: Dict[str, MValue], before: MInstr,
-               width_hint=None) -> MValue:
-        bindings = match.bindings
-        if isinstance(v, ast.Instruction) and v.name in built:
-            return built[v.name]
-        if isinstance(v, (ast.Input, ast.ConstantSymbol)):
-            bound = bindings.get(v.name)
-            if bound is None:
-                raise RewriteError("unbound template value %s" % v.name)
-            return bound
-        if isinstance(v, ast.Instruction) and v.name in bindings and v.name not in self.t.tgt:
-            # a source temporary referenced by the target
-            return bindings[v.name]
-        if isinstance(v, ast.Literal):
-            width = width_hint or self._width_for(v, match)
-            return MConst(v.value, width)
-        if isinstance(v, ConstExpr):
-            width = width_hint or self._width_for(v, match)
-            value = eval_constexpr(
-                v, width, lambda sym: self._resolve_const(sym, match)
-            )
-            return MConst(value, width)
-        if isinstance(v, ast.BinOp):
-            a, b = self._build_pair(v.a, v.b, fn, match, built, before,
-                                    width_hint)
-            return fn.add(v.opcode, [a, b], a.width, flags=v.flags, before=before)
-        if isinstance(v, ast.ICmp):
-            a, b = self._build_pair(v.a, v.b, fn, match, built, before, None)
-            return fn.add("icmp", [a, b], 1, cond=v.cond, before=before)
-        if isinstance(v, ast.Select):
-            c = self._build(v.c, fn, match, built, before, 1)
-            a, b = self._build_pair(v.a, v.b, fn, match, built, before,
-                                    width_hint)
-            return fn.add("select", [c, a, b], a.width, before=before)
-        if isinstance(v, ast.ConvOp):
-            if v.opcode not in ("zext", "sext", "trunc"):
-                raise RewriteError("conversion %r not supported" % v.opcode)
-            x = self._build(v.x, fn, match, built, before)
-            # a conversion's result width comes from its consumer; in
-            # target templates that is (transitively) the root, unless an
-            # explicit annotation overrides it
-            from ..typing.types import IntType
-
-            if v.ty is not None and isinstance(v.ty, IntType):
-                width = v.ty.width
-            elif width_hint is not None:
-                width = width_hint
+        bindings, root = match.bindings, match.root
+        values: List[MValue] = []
+        for step in self.program.steps:
+            if step[0] == "name":
+                values.append(bindings[step[1]])
+                continue
+            width = _width(step[1], bindings)
+            if step[0] == "const":
+                reads = step[3]
+                values.append(MConst(eval_constexpr(
+                    step[2], width, lambda leaf: reads[id(leaf)](bindings)),
+                    width))
             else:
-                width = match.root.width
-            if width == x.width:
-                return x  # degenerate conversion collapses to a copy
-            if v.opcode in ("zext", "sext") and width < x.width:
-                raise RewriteError("conversion widths unsatisfiable")
-            if v.opcode == "trunc" and width > x.width:
-                raise RewriteError("conversion widths unsatisfiable")
-            return fn.add(v.opcode, [x], width, before=before)
-        if isinstance(v, ast.Copy):
-            return self._build(v.x, fn, match, built, before)
-        raise RewriteError("cannot materialize %r" % (v,))
-
-    # ------------------------------------------------------------------
-
-    def _resolve_const(self, sym: ast.Value, match: Match) -> int:
-        if isinstance(sym, ConstExpr) and sym.op == "width":
-            arg = sym.args[0]
-            bound = match.bindings.get(arg.name)
-            if bound is None:
-                raise RewriteError("width() of unbound value %s" % arg.name)
-            return bound.width
-        bound = match.bindings.get(sym.name)
-        if isinstance(bound, MConst):
-            return bound.value
-        raise RewriteError("constant %s is not bound" % sym.name)
-
-    def _width_for(self, v: ast.Value, match: Match) -> int:
-        """Resolve the concrete width of a target value.
-
-        Uses, in order: an explicit annotation, the width of the source
-        root (targets overwhelmingly share it), or the width of any
-        constant symbol the expression mentions.
-        """
-        from ..typing.types import IntType
-
-        if v.ty is not None and isinstance(v.ty, IntType):
-            return v.ty.width
-        # widths referenced through the expression's symbols
-        widths = []
-
-        def scan(e: ast.Value):
-            if isinstance(e, (ast.Input, ast.ConstantSymbol, ast.Instruction)):
-                bound = match.bindings.get(e.name)
-                if bound is not None:
-                    widths.append(bound.width)
-            for op in e.operands():
-                scan(op)
-
-        scan(v)
-        if widths:
-            return widths[0]
-        return match.root.width
+                _, _, opcode, operands, flags, cond, _ = step
+                values.append(fn.add(opcode, [values[o] for o in operands],
+                                     width, flags=flags, cond=cond,
+                                     before=root))
+        new_root = values[self.program.root]
+        fn.replace_all_uses(root, new_root)
+        return new_root

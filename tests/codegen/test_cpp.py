@@ -74,7 +74,11 @@ class TestMatchers:
 
     def test_icmp_pattern(self):
         code = gen("%c = icmp sgt %x, -1\n=>\n%c = icmp sge %x, 0")
-        assert "m_ICmp(ICmpInst::ICMP_SGT" in code
+        # m_ICmp binds the predicate; a clause of its own compares it
+        assert "ICmpInst::Predicate P0;" in code
+        assert condition(code) == ["match(I, m_ICmp(P0, m_Value(x), "
+                                   "m_AllOnes()))",
+                                   "P0 == ICmpInst::ICMP_SGT"]
         assert "new ICmpInst(I, ICmpInst::ICMP_SGE" in code
 
     def test_select_creation(self):
@@ -239,7 +243,8 @@ class TestWidthSteps:
     def test_guard_on_a_literal_reads_a_value_of_its_type(self):
         # the i8 annotation sits on the literal, which binds no C++ name
         code = gen("%r = icmp eq i8 0, %x\n=>\n%r = icmp eq %x, 0")
-        assert condition(code)[1:] == ["x->getType()->isIntegerTy(8)"]
+        assert condition(code)[1:] == ["P0 == ICmpInst::ICMP_EQ",
+                                       "x->getType()->isIntegerTy(8)"]
 
     def test_figure7_prints_no_guard(self):
         assert len(condition(TestFigure7.CODE)) == 3

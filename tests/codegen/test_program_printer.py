@@ -6,7 +6,8 @@ that :mod:`repro.codegen.cpp` used before it printed
 :class:`~repro.opt.matcher.MatchProgram` steps, kept here as the
 reference.  On every corpus rule it emits, the printer must give the
 same declarations and the same ``match``/flag clauses in the same
-order; the clauses it adds after them are width guards, source
+order (the walk is updated to bind each ``m_ICmp`` predicate and then
+compare it, as LLVM's matcher requires); the clauses it adds after them are width guards, source
 constant expressions and the precondition.
 """
 
@@ -43,6 +44,7 @@ class ReferenceSource:
             raise CodegenError("memory-rooted")
         self.value_decls: Set[str] = set()
         self.const_decls: Set[str] = set()
+        self.predicates: List[str] = []
         self.clauses: List[str] = []
         self._matched: Dict[str, str] = {}
         self._emit_source()
@@ -89,8 +91,10 @@ class ReferenceSource:
                 self._operand_matcher(inst.b),
             )
         if isinstance(inst, ast.ICmp):
+            # LLVM's m_ICmp binds the predicate; _predicate_checks tests it
+            self.predicates.append("P%d" % len(self.predicates))
             return "m_ICmp(%s, %s, %s)" % (
-                _ICMP_PRED[inst.cond],
+                self.predicates[-1],
                 self._operand_matcher(inst.a),
                 self._operand_matcher(inst.b),
             )
@@ -112,6 +116,9 @@ class ReferenceSource:
 
     def _flag_checks(self, inst: ast.Instruction, cpp_expr: str) -> List[str]:
         checks = []
+        if isinstance(inst, ast.ICmp):
+            checks.append("%s == %s" % (self.predicates[-1],
+                                        _ICMP_PRED[inst.cond]))
         for flag in getattr(inst, "flags", ()):
             if flag == "nsw":
                 checks.append(
@@ -170,8 +177,8 @@ def test_printer_keeps_the_reference_clauses():
             continue
         gen = CppGenerator(t)
         gen.generate()
-        assert (gen.value_decls, gen.const_decls) == \
-            (ref.value_decls, ref.const_decls), t.name
+        assert (gen.value_decls, gen.const_decls, gen.predicates) == \
+            (ref.value_decls, ref.const_decls, ref.predicates), t.name
         n = len(ref.clauses)
         assert gen.clauses[:n] == ref.clauses, t.name
         rest = gen.clauses[n:]

@@ -26,10 +26,12 @@ from repro.opt import (
     PassStatistics,
     PeepholeOpt,
     PeepholePass,
+    TemplateMatcher,
     compile_opts,
     folding_rules,
     run_dce,
 )
+from repro.opt.matcher import instruction_key
 from repro.suite import load_all_flat, load_fp
 from repro.workload import WorkloadConfig, generate_module
 
@@ -165,17 +167,20 @@ def test_operand_instruction_opcode_and_cond():
 
 
 def test_undef_operand_never_matches():
-    opt = PeepholeOpt(parse_transformation("%r = add %x, undef\n=>\n%r = undef"))
+    t = parse_transformation("%r = add %x, undef\n=>\n%r = undef")
+    matcher = TemplateMatcher(t)
     fn = fn8()
     inst = fn.add("add", [fn.args[0], MConst(0, 8)], 8)
-    assert not PeepholePass([opt]).candidates(inst)
-    assert opt.matcher.match(inst, Analyses(fn)) is None
+    assert not matcher.guard.admits(instruction_key(inst))
+    assert matcher.match(inst, Analyses(fn)) is None
+    assert compile_opts([t]) == []  # nor can its undef target be built
 
 
 def test_fp_root_is_never_a_candidate():
-    fp = [PeepholeOpt(t) for t in load_fp()]
+    fp = [TemplateMatcher(t) for t in load_fp()]
     assert fp
     fn = MFunction("g", [MArg("%x", 16), MArg("%y", 16)])
-    inst = fn.add("fadd", fn.args, 16)
-    assert not PeepholePass(fp).candidates(inst)
-    assert all(not opt.guard.opcodes for opt in fp)
+    key = instruction_key(fn.add("fadd", fn.args, 16))
+    assert not any(matcher.guard.admits(key) for matcher in fp)
+    assert all(not matcher.guard.opcodes for matcher in fp)
+    assert compile_opts(load_fp()) == []  # nor can an FP target be built

@@ -247,7 +247,7 @@ def same_outcome(matcher, inst, analyses):
 
 
 def corpus():
-    return [opt.matcher for opt in compile_opts(load_all_flat() + load_fp())]
+    return [TemplateMatcher(t) for t in load_all_flat() + load_fp()]
 
 
 def instantiate(t, width, seed):

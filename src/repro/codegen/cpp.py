@@ -39,8 +39,8 @@ from ..ir.precond import (
     PredTrue,
     Predicate,
 )
-from ..opt.matcher import _NAMED, TemplateMatcher
-from ..opt.rewriter import RewriteError, TargetProgram
+from ..opt.matcher import RewriteError, TemplateMatcher, reads
+from ..opt.rewriter import TargetProgram
 
 _MATCHERS = {
     "add": "m_Add",
@@ -140,13 +140,6 @@ def _bits(value: str) -> str:
     return "%s->getType()->getIntegerBitWidth()" % value
 
 
-def _symbols(e: ast.Value) -> Set[str]:
-    """The names a constant expression reads, ``width`` arguments too."""
-    if isinstance(e, ConstExpr):
-        return set().union(*map(_symbols, e.args))
-    return {e.name} if isinstance(e, _NAMED) else set()
-
-
 class CppGenerator:
     """Generates the Figure 7-style C++ for one transformation.
 
@@ -157,8 +150,8 @@ class CppGenerator:
 
     def __init__(self, t: ast.Transformation):
         self.t = t
-        self.program = TemplateMatcher(t).program
         try:
+            self.program = TemplateMatcher(t).program
             self.target = TargetProgram(t, self.program)
         except RewriteError as e:
             raise CodegenError(str(e)) from e
@@ -248,8 +241,8 @@ class CppGenerator:
 
         self._print_widths(each("width", "min_width", "same_width",
                                 "smaller"), opcodes, operands, names, handles)
-        for r, e, reads in expressions:
-            unbound = _symbols(e) - {name for name, _ in reads}
+        for r, e, bound_names in expressions:
+            unbound = reads(e) - {name for name, _ in bound_names}
             if unbound:
                 raise CodegenError(
                     "%s: source constant %s reads %s before any pattern "

@@ -22,7 +22,8 @@ Built-in functions (a subset of the original's, covering the corpus):
 
 The SMT encoding of these expressions lives in
 :mod:`repro.core.semantics`; concrete evaluation (for the optimizer's
-rewriter) in :func:`eval_constexpr`.
+rewriter) in :func:`eval_constexpr`, one operator at a time in
+:func:`apply_op`.
 """
 
 from __future__ import annotations
@@ -117,12 +118,16 @@ def eval_constexpr(expr: Value, width: int,
         return lookup(expr) & mask(width)
     if not isinstance(expr, ConstExpr):
         raise AliveError("not a constant expression: %r" % (expr,))
-
-    op = expr.op
-    if op == "width":
+    if expr.op == "width":
         return lookup(expr) & mask(width)  # resolved by the caller
+    return apply_op(expr.op, [eval_constexpr(a, width, lookup)
+                              for a in expr.args], width)
 
-    vals = [eval_constexpr(a, width, lookup) for a in expr.args]
+
+def apply_op(op: str, vals: Sequence[int], width: int) -> int:
+    """One constant-expression operator on unsigned *width*-bit values:
+    the arithmetic of every node that :func:`eval_constexpr` walks and
+    the peephole matcher's compiled preconditions spell out."""
     if op == "neg":
         return (-vals[0]) & mask(width)
     if op == "not":

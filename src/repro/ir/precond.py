@@ -26,11 +26,12 @@ fuzzer's cross-check: symbolically in
 verifier proves rules against, and concretely here in
 :func:`builtin_holds`, together with the comparisons (:func:`compare`)
 and one three-valued connective walker (:func:`evaluate`).  Every
-module that decides a precondition on concrete values — the peephole
-matcher, the lint constant folder, precondition inference, the
-abstract tier's witnesses and the fuzzer's concrete oracle — runs these
-and supplies only its own atoms; a test checks the two sides agree on
-every input at widths 1 to 4.
+module that decides a precondition on concrete values runs these: the
+peephole matcher's compiled preconditions call :func:`builtin_holds`
+and :func:`compare`, and the lint constant folder, precondition
+inference, the abstract tier's witnesses and the fuzzer's concrete
+oracle supply only their own atoms to :func:`evaluate`; a test checks
+the two sides agree on every input at widths 1 to 4.
 """
 
 from __future__ import annotations

@@ -5,17 +5,25 @@ real implementations so that generated optimizations only fire when
 their preconditions actually hold.  The central one is a known-bits
 analysis equivalent to LLVM's ``computeKnownBits``.
 
-Since the abstract-interpretation tier landed, this module no longer
-carries hand-written bit-twiddling: :class:`KnownBitsAnalysis` is a
-thin fixed-shape walk over the function that delegates every opcode to
-the solver-verified transfer functions in :mod:`repro.absint.transfer`
-(self-checked exhaustively at small widths and against the SMT
-semantics by ``repro.absint.selfcheck``).  The transfers use the total
-SMT semantics — ``udiv x, 0`` and oversized shifts get the solver's
-totalized values — which strictly over-approximates every *defined*
-execution of :mod:`repro.ir.interp` (those inputs raise
-``UndefinedBehavior`` there), so a must-claim derived here is sound for
-any program the pass engine actually runs.
+:class:`KnownBitsAnalysis` is a thin fixed-shape walk over the function
+that delegates every opcode to the solver-verified transfer functions
+in :mod:`repro.absint.transfer` (self-checked exhaustively at small
+widths and against the SMT semantics by ``repro.absint.selfcheck``).
+The transfers use the total SMT semantics — ``udiv x, 0`` and oversized
+shifts get the solver's totalized values — which strictly
+over-approximates every *defined* execution of :mod:`repro.ir.interp`
+(those inputs raise ``UndefinedBehavior`` there), so a must-claim
+derived here is sound for any program the pass engine actually runs.
+
+A transfer is a pure function of an instruction's opcode, cond and
+width and of its operands' facts, and a rewrite changes none of these
+on an existing instruction except its operands (through
+``replace_all_uses``).  So the facts of one function can outlive the
+:class:`Analyses` that computed them: each instruction's fact is kept
+with the operand facts it was computed from, keyed by the value object
+itself, and reused exactly when every operand's fact is the same object
+again.  :class:`~repro.opt.pass_manager.PeepholePass` keeps one such
+store per function across all the rewrites it makes there.
 
 All analyses here are *must*-analyses: a true answer is definitive, a
 false answer means "cannot prove".
@@ -23,7 +31,8 @@ false answer means "cannot prove".
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from operator import is_
+from typing import Dict, Optional, Tuple
 
 from ..absint.domains import AbsValue
 from ..absint.transfer import (
@@ -45,6 +54,10 @@ _BINOPS = frozenset((
 _CONVOPS = frozenset(("zext", "sext", "trunc"))
 
 
+#: value -> (its fact, the operand facts it was computed from)
+Facts = Dict[MValue, Tuple[AbsValue, Tuple[AbsValue, ...]]]
+
+
 class KnownBitsAnalysis:
     """Forward abstract interpretation over a single-block function.
 
@@ -53,24 +66,39 @@ class KnownBitsAnalysis:
     keeps the original ``(known_zero, known_one)`` interface while
     ``abstract`` exposes the whole :class:`AbsValue` for the predicates
     that want ranges.
+
+    *facts* is the store that facts are reused from and kept in (see
+    the module docstring); None starts an empty one.  It is keyed by
+    the value, not by ``id()``: a store that outlives a value must not
+    hand its fact to a new value that reuses the freed id.
     """
 
-    def __init__(self, fn: MFunction):
+    def __init__(self, fn: MFunction, facts: Optional[Facts] = None):
         self.fn = fn
-        self._cache: Dict[int, AbsValue] = {}
+        self._facts: Facts = {} if facts is None else facts
+        self._cache: Dict[MValue, AbsValue] = {}  # checked by this walk
 
     def known(self, v: MValue) -> KnownBits:
         av = self.abstract(v)
         return av.bits.kz, av.bits.ko
 
     def abstract(self, v: MValue) -> AbsValue:
-        cached = self._cache.get(id(v))
-        if cached is None:
-            cached = self._compute(v)
-            self._cache[id(v)] = cached
-        return cached
+        fact = self._cache.get(v)
+        if fact is not None:
+            return fact
+        operands = tuple(map(self.abstract, v.operands)) \
+            if isinstance(v, MInstr) else ()
+        kept = self._facts.get(v)
+        if kept is not None and all(map(is_, kept[1], operands)):
+            fact = kept[0]
+        else:
+            fact = self._compute(v, operands)
+            self._facts[v] = (fact, operands)
+        self._cache[v] = fact
+        return fact
 
-    def _compute(self, v: MValue) -> AbsValue:
+    @staticmethod
+    def _compute(v: MValue, operands: Tuple[AbsValue, ...]) -> AbsValue:
         w = v.width
         if isinstance(v, MConst):
             return AbsValue.const(v.value, w)
@@ -79,29 +107,26 @@ class KnownBitsAnalysis:
         assert isinstance(v, MInstr)
         op = v.opcode
         if op in _BINOPS:
-            return transfer_binop(op,
-                                  self.abstract(v.operands[0]),
-                                  self.abstract(v.operands[1]))
+            return transfer_binop(op, *operands)
         if op in _CONVOPS:
-            return transfer_conv(op, self.abstract(v.operands[0]), w)
+            return transfer_conv(op, operands[0], w)
         if op == "select":
-            return transfer_select(self.abstract(v.operands[0]),
-                                   self.abstract(v.operands[1]),
-                                   self.abstract(v.operands[2]))
+            return transfer_select(*operands)
         if op == "icmp":
-            return transfer_icmp(v.cond,
-                                 self.abstract(v.operands[0]),
-                                 self.abstract(v.operands[1]))
+            return transfer_icmp(v.cond, *operands)
         # floating-point instructions and conversions: no bit-level facts
         return AbsValue.top(w)
 
 
 class Analyses:
-    """Facade bundling the per-function analyses the matcher consults."""
+    """Facade bundling the per-function analyses the matcher consults.
 
-    def __init__(self, fn: MFunction):
+    *facts* is a known-bits store to reuse facts from (None: a fresh
+    one); use counts are recounted by every instance."""
+
+    def __init__(self, fn: MFunction, facts: Optional[Facts] = None):
         self.fn = fn
-        self.known_bits = KnownBitsAnalysis(fn)
+        self.known_bits = KnownBitsAnalysis(fn, facts)
         self._use_counts = None
 
     def masked_value_is_zero(self, v: MValue, mask: int) -> bool:

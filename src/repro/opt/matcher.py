@@ -3,18 +3,24 @@
 This is the Python analogue of the C++ that Alive generates (paper §4,
 Figure 7): each source template is compiled once into a
 :class:`MatchProgram`, straight-line checks that match a DAG of
-instructions, bind inputs and constants and test widths, run as a
-generated Python function; the precondition is then evaluated using the
-dataflow analyses.  This lets the reproduction run the "LLVM+Alive"
-experiments of §6.4 without an LLVM checkout.
+instructions, bind inputs and constants, test widths and then decide
+the precondition, run as one generated Python function.  This lets the
+reproduction run the "LLVM+Alive" experiments of §6.4 without an LLVM
+checkout.
 
-The precondition is decided by :func:`repro.ir.precond.evaluate` over
-the matcher's own atoms: comparisons and built-ins whose arguments are
-all bound constants run the one concrete semantics of
+The precondition is compiled with the rest: each atom becomes one
+Python expression over the matched values and ``&&``/``||``/``!``
+become ``and``/``or``/``not``.  An atom's width is that of its type
+class, read off a matched value of the class; a constant expression is
+flat arithmetic over the matched constants, one
+:func:`repro.ir.constexpr.apply_op` call per node; ``width(%x)`` is
+the width of the value bound to ``%x``.  Comparisons and built-ins
+whose arguments are all constants run the one concrete semantics of
 :mod:`repro.ir.precond` (the same that the fuzzer checks against the
 verifier's symbolic conditions); the syntactic built-ins and the
-built-ins over non-constant values ask :class:`~repro.opt.analysis.Analyses`,
-and are false where no analysis answers them.
+built-ins over non-constant values make one
+:class:`~repro.opt.analysis.Analyses` query, and are false where no
+analysis answers them.
 
 Before any of that, a :class:`Guard` switches on the root and operand
 opcodes: read by :func:`template_guard` from the same per-pattern cases
@@ -27,18 +33,26 @@ guard rejects the key.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..core.typecheck import TypeChecker
 from ..ir import ast
-from ..ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
+from ..ir.constexpr import ConstExpr, apply_op, is_constant_value
 from ..ir.module import MConst, MInstr, MValue
 from ..ir.precond import (
-    PredCall, PredCmp, Predicate, PredTrue, builtin_holds, compare, evaluate,
+    PredAnd, PredCall, PredCmp, PredNot, PredOr, Predicate, PredTrue,
+    builtin_holds, compare,
 )
 from ..typing.constraints import BOOL, FIXED, MIN_WIDTH, SAME_WIDTH, SMALLER
 from ..typing.types import IntType
 from .analysis import Analyses
+
+
+class RewriteError(ast.AliveError):
+    """A rule that cannot be compiled into a match program and a target
+    program: the rule is rejected before it can match."""
 
 
 class Match:
@@ -190,28 +204,33 @@ class MatchProgram:
     operands left to right, a name's later occurrences tested against
     its first; then the annotated widths, one width per type class, the
     class facts and the relations between classes; then ``pre`` (None
-    if trivially true) over ``bindings`` (name -> register).
-    ``source`` is the Python the steps print as, ``run`` its function;
-    *holds(atom, bindings, analyses)* decides each precondition atom.
+    if trivially true) over ``bindings`` (name -> register), compiled
+    by :meth:`_pred`.  ``source`` is the Python the program prints as,
+    ``run`` its function.  A precondition that reads a name the program
+    does not bind raises :class:`RewriteError`.
     """
 
-    def __init__(self, t: ast.Transformation, holds):
+    def __init__(self, t: ast.Transformation):
         self.steps = []
         self.bindings: Dict[str, int] = {}
+        self._name = t.name
         self._compile(t)
         self.pre = None if isinstance(t.pre, PredTrue) else t.pre
-        env = {"MInstr": MInstr, "MConst": MConst, "Match": Match,
-               "evaluate": evaluate, "pre": self.pre, "holds": holds,
-               "constexpr": _constexpr}
+        self._widths = set()  # registers whose width locals are defined
         lines = ["def match(v0, analyses):"]
-        lines += ["    " + _python(step, env) for step in self.steps]
-        lines.append("    b = {%s}" % ", ".join(
-            "%r: v%d" % item for item in self.bindings.items()))
+        for step in self.steps:
+            lines += self._python(step)
         if self.pre is not None:
-            lines.append("    if not evaluate(pre, lambda atom: "
-                         "holds(atom, b, analyses)):\n        return None")
-        lines.append("    return Match(v0, b)\n")
+            widths = set()
+            test = self._pred(self.pre, widths)
+            lines += self._define_widths(widths)
+            lines.append("    if not (%s):\n        return None" % test)
+        lines.append("    return Match(v0, {%s})\n" % ", ".join(
+            "%r: v%d" % item for item in self.bindings.items()))
         self.source = "\n".join(lines)
+        env = {"MInstr": MInstr, "MConst": MConst, "Match": Match,
+               "apply_op": apply_op, "builtin_holds": builtin_holds,
+               "compare": compare}
         filename = "<match %s>" % t.name  # in tracebacks
         exec(compile(self.source, filename, "exec"), env)
         self.run = env["match"]
@@ -321,6 +340,180 @@ class MatchProgram:
                 least = max(least, payload)
         return least, most
 
+    # ------------------------------------------------------------------
+    # printing the program as Python
+
+    def _python(self, step: tuple) -> List[str]:
+        """*step* as lines of the match function."""
+        kind = step[0]
+        if kind == "fail":
+            return ["    return None"]
+        r, s = "v%d" % step[1], "v%s" % step[2] if len(step) > 2 else None
+        if kind == "load":
+            return ["    %s = %s.operands[%d]" % (r, s, step[3])]
+        lines = []
+        if kind == "constexpr":
+            # at the matched constant's width, over the names bound so
+            # far; one that reads a name bound only later never matches
+            if not reads(step[2]) <= {name for name, _ in step[3]}:
+                return ["    return None"]
+            lines += self._define_widths({step[1]})
+            width = ("w%d" % step[1], "m%d" % step[1])
+            test = "%s != %s.value" % (
+                self._const(step[2], width, dict(step[3])), r)
+        else:
+            test = _PYTHON_TESTS[kind].format(*step, r=r, s=s)
+        return lines + ["    if %s:\n        return None" % test]
+
+    def _define_widths(self, registers) -> List[str]:
+        """Lines that define ``w<r>`` and ``m<r>``, the width and the
+        mask of each register *r* not defined yet."""
+        lines = []
+        for r in sorted(set(registers) - self._widths):
+            lines += ["    w%d = v%d.width" % (r, r),
+                      "    m%d = (1 << w%d) - 1" % (r, r)]
+        self._widths.update(registers)
+        return lines
+
+    def _fail(self, what: str) -> RewriteError:
+        return RewriteError("%s: cannot match %s" % (self._name, what))
+
+    def _register(self, name: str, bound: Dict[str, int]) -> int:
+        if name not in bound:
+            raise self._fail("%s, it is not bound where it is read" % name)
+        return bound[name]
+
+    def _width(self, v: ast.Value, widths: Set[int]):
+        """The width and the mask of *v*'s type class as Python: a
+        literal, or ``w<r>``/``m<r>`` of the register that
+        :meth:`width_of` names, which is added to *widths*; None if
+        neither a matched value nor the typing gives the width."""
+        source = self.width_of(v)
+        if source is None:
+            return None
+        if isinstance(source, int):
+            return "%d" % source, "%d" % ((1 << source) - 1)
+        r = self.bindings[source]
+        widths.add(r)
+        return "w%d" % r, "m%d" % r
+
+    def _const(self, e: ast.Value, width: Tuple[str, str],
+               bound: Dict[str, int]) -> str:
+        """The constant expression *e* as a Python expression over the
+        registers of *bound*, at *width* (a width and a mask)."""
+        w, m = width
+        if isinstance(e, ast.Literal):
+            if m.isdigit():
+                return "%d" % (e.value & int(m))
+            return "(%d & %s)" % (e.value, m)
+        if isinstance(e, ast.ConstantSymbol):
+            return "(v%d.value & %s)" % (self._register(e.name, bound), m)
+        if isinstance(e, ConstExpr) and e.op == "width":
+            x = e.args[0]
+            if not isinstance(x, _NAMED):
+                raise self._fail("%s, not the width of a value" % e.name)
+            return "(v%d.width & %s)" % (self._register(x.name, bound), m)
+        if isinstance(e, ConstExpr):
+            return "apply_op(%r, %s, %s)" % (e.op, _tuple(
+                self._const(a, width, bound) for a in e.args), w)
+        raise self._fail("%s, not a constant expression" % e.name)
+
+    def _pred(self, p: Predicate, widths: Set[int]) -> str:
+        """The precondition *p* as a Python expression, one atom a line.
+
+        An atom is two-valued here, so the connectives are Python's."""
+        if isinstance(p, PredTrue):
+            return "True"
+        if isinstance(p, PredNot):
+            return "not %s" % self._pred(p.p, widths)
+        if isinstance(p, (PredAnd, PredOr)):
+            glue = "\n            %s " % ("and" if isinstance(p, PredAnd)
+                                          else "or")
+            return "(%s)" % glue.join(self._pred(q, widths) for q in p.ps)
+        if isinstance(p, PredCmp):
+            width = self._width(p.a, widths)
+            a, b = (self._const(e, width or _NO_WIDTH, self.bindings)
+                    for e in (p.a, p.b))
+            if width is None:
+                return "False"
+            return "compare(%r, %s, %s, %s)" % (p.op, a, b, width[0])
+        return self._call(p, widths)
+
+    def _call(self, call: PredCall, widths: Set[int]) -> str:
+        """A built-in: ``builtin_holds`` when every argument is a
+        constant, else one :class:`Analyses` query or false."""
+        fn = call.fn
+        # each argument as a Python MValue (None: no width to build a
+        # constant at), whether it is a constant (None: if it is an
+        # MConst, an input can be either), and its value as Python
+        args, consts, values = [], [], []
+        for a in call.args:
+            if isinstance(a, _NAMED):
+                r = "v%d" % self._register(a.name, self.bindings)
+                args.append(r)
+                consts.append(True if isinstance(a, ast.ConstantSymbol)
+                              else None if isinstance(a, ast.Input)
+                              else False)
+                values.append(r + ".value")
+                continue
+            width = self._width(a, widths)
+            value = self._const(a, width or _NO_WIDTH, self.bindings) \
+                if is_constant_value(a) else None
+            if width is None or value is None:
+                args.append(None)
+                consts.append(False)
+                values.append(None)
+                continue
+            values.append(value)
+            args.append("MConst(%s, %s)" % (value, width[0]))
+            consts.append(True)
+        first = call.args[0]
+        if fn == "hasOneUse":
+            if not isinstance(first, _NAMED):
+                return "False"
+            return "analyses.has_one_use(%s)" % args[0]
+        if fn == "isConstant":
+            const = consts[0]
+            return "isinstance(%s, MConst)" % args[0] if const is None \
+                else repr(const)
+        if fn == "MaskedValueIsZero":
+            mask = call.args[1]
+            if args[0] is None or not is_constant_value(mask):
+                return "False"
+            width = self._width(first, widths)
+            return "analyses.masked_value_is_zero(%s, %s)" % (
+                args[0], self._const(mask, width, self.bindings))
+        query = _ANALYSIS_QUERIES.get(fn)
+        query = "False" if query is None or None in args else \
+            "analyses.%s(%s)" % (query, ", ".join(args))
+        if False in consts:
+            return query
+        width = "%s.width" % args[0] if isinstance(first, _NAMED) \
+            else self._width(first, widths)[0]
+        holds = "builtin_holds(%r, %s, %s)" % (fn, _tuple(values), width)
+        tests = [args[i] for i, const in enumerate(consts) if const is None]
+        if not tests:
+            return holds
+        return "(%s if %s else %s)" % (holds, " and ".join(
+            "isinstance(%s, MConst)" % r for r in tests), query)
+
+
+def reads(e: ast.Value) -> Set[str]:
+    """The names a constant expression reads, ``width`` arguments too."""
+    if isinstance(e, ConstExpr):
+        return set().union(*map(reads, e.args))
+    return {e.name} if isinstance(e, _NAMED) else set()
+
+
+#: the width a constant expression is compiled at only to check the
+#: names it reads, where its type has no width
+_NO_WIDTH = ("0", "0")
+
+
+def _tuple(items: Iterable[str]) -> str:
+    items = list(items)
+    return "(%s)" % (items[0] + "," if len(items) == 1 else ", ".join(items))
+
 
 #: each test step as the Python condition under which it fails
 _PYTHON_TESTS = {
@@ -339,122 +532,14 @@ _PYTHON_TESTS = {
 }
 
 
-def _python(step: tuple, env: dict) -> str:
-    """*step* as a line of the match function; a constant expression
-    goes into the function's environment *env*."""
-    kind = step[0]
-    if kind == "fail":
-        return "return None"
-    r, s = "v%d" % step[1], "v%s" % step[2] if len(step) > 2 else None
-    if kind == "load":
-        return "%s = %s.operands[%d]" % (r, s, step[3])
-    if kind == "constexpr":
-        env["e%d" % step[1]] = step[2]
-        test = "constexpr(e%d, %s, {%s}) != %s.value" % (
-            step[1], r, ", ".join("%r: v%d" % b for b in step[3]), r)
-    else:
-        test = _PYTHON_TESTS[kind].format(*step, r=r, s=s)
-    return "if %s:\n        return None" % test
-
-
 class TemplateMatcher:
     """Matches one transformation's source template."""
 
     def __init__(self, transformation: ast.Transformation):
         self.t = transformation
         self.guard = template_guard(transformation.src[transformation.root])
-        self.program = MatchProgram(transformation, self._atom)
+        self.program = MatchProgram(transformation)
 
     def match(self, inst: MInstr, analyses: Analyses) -> Optional[Match]:
         """Try to match the template rooted at *inst*."""
         return self.program.run(inst, analyses)
-
-    # ------------------------------------------------------------------
-
-    def _atom(self, atom: Predicate, bindings: Dict[str, MValue],
-              analyses: Analyses) -> bool:
-        if isinstance(atom, PredCmp):
-            width = (self._width_of(atom.a, bindings)
-                     or self._width_of(atom.b, bindings))
-            if width is None:
-                return False
-            try:
-                a = _eval_const(atom.a, width, bindings)
-                b = _eval_const(atom.b, width, bindings)
-            except _UnboundConstant:
-                return False
-            return compare(atom.op, a, b, width)
-        return self._call_holds(atom, bindings, analyses)
-
-    def _width_of(self, e: ast.Value, bindings: Dict[str, MValue]) -> Optional[int]:
-        if isinstance(e, _NAMED):
-            bound = bindings.get(e.name)
-            return bound.width if bound is not None else None
-        if isinstance(e, ConstExpr):
-            for a in e.args:
-                w = self._width_of(a, bindings)
-                if w is not None:
-                    return w
-        return None
-
-    def _call_holds(self, call: PredCall, bindings: Dict[str, MValue],
-                    analyses: Analyses) -> bool:
-        fn = call.fn
-        args = [bindings.get(a.name) if isinstance(a, _NAMED) else None
-                for a in call.args]
-        if any(v is None for v in args):
-            # a constant expression or literal argument is the constant
-            # it evaluates to, at the width another argument fixes
-            width = next(filter(None, (self._width_of(a, bindings)
-                                       for a in call.args)), None)
-            for i, a in enumerate(call.args):
-                if width is None or not isinstance(a, (ConstExpr, ast.Literal)):
-                    continue
-                try:
-                    args[i] = MConst(_eval_const(a, width, bindings),
-                                     width)
-                except (_UnboundConstant, ast.AliveError):
-                    pass
-        if fn == "hasOneUse":
-            return args[0] is not None and analyses.has_one_use(args[0])
-        if fn == "isConstant":
-            return isinstance(args[0], MConst)
-        if fn == "MaskedValueIsZero":
-            v = args[0]
-            if v is None:
-                return False
-            try:
-                mask = _eval_const(call.args[1], v.width, bindings)
-            except (_UnboundConstant, ast.AliveError):
-                return False
-            return analyses.masked_value_is_zero(v, mask)
-        if all(isinstance(v, MConst) for v in args):
-            return builtin_holds(fn, [v.value for v in args], args[0].width)
-        query = _ANALYSIS_QUERIES.get(fn)
-        if query is None or any(v is None for v in args):
-            return False
-        return getattr(analyses, query)(*args)
-
-
-class _UnboundConstant(Exception):
-    pass
-
-
-def _resolve_const(bindings: Dict[str, MValue], sym: ast.Value) -> int:
-    bound = bindings.get(sym.name)
-    if not isinstance(bound, MConst):
-        raise _UnboundConstant(sym.name)
-    return bound.value
-
-
-def _eval_const(e: ast.Value, width: int, bindings: Dict[str, MValue]) -> int:
-    return eval_constexpr(e, width, lambda sym: _resolve_const(bindings, sym))
-
-
-def _constexpr(e: ConstExpr, value: MConst,
-               bindings: Dict[str, MValue]) -> Optional[int]:
-    """*e* at *value*'s width; None if it reads an unbound constant."""
-    try:
-        return _eval_const(e, value.width, bindings)
-    except _UnboundConstant:
-        return None

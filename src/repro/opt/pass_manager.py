@@ -93,10 +93,11 @@ class PeepholePass:
     def run_function(self, fn: MFunction) -> int:
         """Optimize one function to a fixpoint; returns #rewrites."""
         fired = 0
+        facts = {}  # known bits, reused across rewrites where exact
         for _ in range(self.max_iterations):
             self.stats.iterations += 1
             changed = False
-            analyses = Analyses(fn)
+            analyses = Analyses(fn, facts)
             replaced = set()
             for inst in list(fn.instrs):
                 if id(inst) in replaced:
@@ -107,7 +108,8 @@ class PeepholePass:
                         replaced.add(id(inst))
                         fired += 1
                         changed = True
-                        analyses = Analyses(fn)  # results are stale
+                        # recount uses, recheck the kept facts
+                        analyses = Analyses(fn, facts)
                         break
             removed = run_dce(fn)
             self.stats.instructions_removed += removed

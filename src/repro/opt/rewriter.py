@@ -18,11 +18,9 @@ from ..ir import ast
 from ..ir.constexpr import ConstExpr, eval_constexpr
 from ..ir.module import MConst, MFunction, MValue
 from .matcher import (
-    _CONVERSIONS, _NAMED, CONSTEXPR, COPY, LITERAL, Match, MatchProgram, _case,
+    _CONVERSIONS, _NAMED, CONSTEXPR, COPY, LITERAL, Match, MatchProgram,
+    RewriteError, _case,
 )
-
-class RewriteError(ast.AliveError):
-    """The target template cannot be built from what the rule matches."""
 
 
 def _width(source, bindings: Dict[str, MValue]) -> int:

@@ -1,10 +1,17 @@
 """Tests for the known-bits dataflow analysis and friends."""
 
+import os
+
 import pytest
 
+import repro.opt.pass_manager as pass_manager
 from repro.ir.module import MArg, MConst, MFunction
-from repro.opt import Analyses
+from repro.opt import Analyses, PeepholePass, compile_opts, folding_rules
 from repro.opt.analysis import KnownBitsAnalysis
+from repro.suite import load_all_flat
+from repro.workload import WorkloadConfig, generate_module
+
+FULL = os.environ.get("ALIVE_REPRO_PARITY_FULL") == "1"
 
 
 def fn8():
@@ -270,3 +277,67 @@ class TestPinnedRegressions:
         assert kb.abstract(d).ur.lo == 127
         assert kb.abstract(d).ur.hi == 254
         assert kb.abstract(q).ur.hi == 63
+
+
+class TestFactReuse:
+    """The pass keeps known-bits facts across its rewrites of a function
+    (``Analyses(fn, facts)``).  A kept fact must equal the one a fresh
+    analysis of the function computes: after a rewrite changes an
+    operand, after a freed value's address is reused, and on every
+    query the pass makes.  On the seeded modules no rewrite changes the
+    fact of a user of the value it replaces, so only the first two
+    tests fail on a store keyed by ``id()`` or one that skips the
+    operand-fact check.  The modules are sliced for tier-1; set
+    ``ALIVE_REPRO_PARITY_FULL=1`` for the perfbench ``optimize`` size
+    (300 x 40, seeds 1-3)."""
+
+    def test_rewritten_operand_is_recomputed(self):
+        fn = fn8()
+        a = fn.add("and", [fn.args[0], MConst(0x0F, 8)], 8)
+        u = fn.add("or", [a, MConst(0x10, 8)], 8)
+        fn.ret = u
+        facts = {}
+        assert Analyses(fn, facts).known_bits.known(u)[1] == 0x10
+        fn.replace_all_uses(a, MConst(0x03, 8))
+        assert Analyses(fn, facts).known_bits.known(u) == (0xEC, 0x13)
+
+    def test_a_new_value_never_takes_a_freed_values_fact(self):
+        # a store keyed by id() would hand the freed constant's fact to
+        # the new constant that CPython allocates at the same address
+        fn = fn8()
+        u = fn.add("and", [fn.args[0], MConst(0, 8)], 8)
+        fn.ret = u
+        facts = {}
+        for value in range(1, 256):
+            Analyses(fn, facts).known_bits.known(u)
+            u.operands[1] = fn.args[1]
+            u.operands[1] = MConst(value, 8)
+            assert Analyses(fn, facts).known_bits.known(u) == \
+                KnownBitsAnalysis(fn).known(u)
+
+    @pytest.mark.parametrize("seed", (1, 2, 3) if FULL else (1, 2))
+    def test_every_query_of_the_pass(self, seed, monkeypatch):
+        queries = []
+
+        class Checked(KnownBitsAnalysis):
+            def abstract(self, v):
+                if self._cache.get(v) is not None:
+                    return self._cache[v]
+                kept = super().abstract(v)
+                fresh = KnownBitsAnalysis(self.fn).abstract(v)
+                queries.append((repr(v), kept == fresh))
+                return kept
+
+        class CheckedAnalyses(Analyses):
+            def __init__(self, fn, facts=None):
+                super().__init__(fn, facts)
+                self.known_bits.__class__ = Checked
+
+        monkeypatch.setattr(pass_manager, "Analyses", CheckedAnalyses)
+        functions, instructions = (300, 40) if FULL else (120, 40)
+        module = generate_module(WorkloadConfig(
+            seed=seed, functions=functions, instructions=instructions))
+        PeepholePass(folding_rules() + compile_opts(load_all_flat())
+                     ).run_module(module)
+        assert [v for v, same in queries if not same] == []
+        assert len(queries) > 1000

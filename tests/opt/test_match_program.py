@@ -1,15 +1,21 @@
 """The compiled match program matches exactly as the recursive walk did.
 
 :class:`~repro.opt.matcher.MatchProgram` compiles each source template
-into straight-line checks.  :class:`ReferenceMatcher` below is the
-recursive template walk it replaced, kept here verbatim as the
-reference.  On every input the two must give the same outcome: ``None``
-for both, the same :class:`~repro.ir.ast.AliveError`, or a
+and its precondition into straight-line checks.
+:class:`ReferenceMatcher` below is the recursive template walk it
+replaced, and :class:`ReferencePrecondition` the precondition
+interpreter (``_atom``, ``_width_of``, ``_call_holds``,
+``_resolve_const``), both kept here verbatim as the reference, with one
+change: ``width(%x)`` reads the width of the value bound to ``%x``
+(the interpreter looked the ``width`` node up by name and never found
+it).  On every input the two must give the same outcome: ``None`` for
+both, the same :class:`~repro.ir.ast.AliveError`, or a
 :class:`~repro.opt.matcher.Match` with the same root and the same
 bindings (names, in order, and the identity of each bound value).
 
 The inputs are every corpus template instantiated as concrete IR at
-widths 1, 4 and 8; targeted mutants of those instances (a literal off by
+widths 1, 4 and 8; every corpus precondition over every tuple of
+constants at i4; targeted mutants of those instances (a literal off by
 one, a repeated name bound to two values, a repeated constant bound to
 two equal constants, an opcode or predicate changed, a flag dropped,
 an operand of the wrong width) and of hand-written templates; and every
@@ -19,9 +25,10 @@ functions.  That last part runs
 the perfbench ``optimize`` size (300 x 40, seeds 1-3).
 """
 
+import itertools
 import os
 import random
-from typing import Dict
+from typing import Dict, Optional
 
 import pytest
 
@@ -29,7 +36,8 @@ from repro.core.typecheck import TypeChecker
 from repro.ir import ast, parse_transformation
 from repro.ir.constexpr import ConstExpr, eval_constexpr, is_constant_value
 from repro.ir.module import MArg, MConst, MFunction, MInstr, MValue
-from repro.ir.precond import evaluate
+from repro.ir.precond import PredCall, PredCmp, builtin_holds, compare, \
+    evaluate
 from repro.opt import (
     Analyses,
     PassStatistics,
@@ -40,8 +48,7 @@ from repro.opt import (
     folding_rules,
     run_dce,
 )
-from repro.opt.matcher import Match, _CONVERSIONS, _resolve_const, \
-    _UnboundConstant
+from repro.opt.matcher import Match, RewriteError, _CONVERSIONS, _NAMED
 from repro.suite import load_all_flat, load_fp
 from repro.typing.constraints import (
     BOOL, FIXED, MIN_WIDTH, SAME_WIDTH, SMALLER,
@@ -56,14 +63,113 @@ FUNCTIONS, INSTRUCTIONS = (300, 40) if FULL else (30, 25)
 WIDTHS = (1, 4, 8)
 
 
+#: the :class:`Analyses` method answering a built-in when an argument
+#: is not a constant; the other built-ins are false on such arguments
+_ANALYSIS_QUERIES = {
+    "isPowerOf2": "is_power_of_2",
+    "isPowerOf2OrZero": "is_power_of_2",
+    "WillNotOverflowSignedAdd": "will_not_overflow_signed_add",
+}
+
+
+class ReferencePrecondition:
+    """The precondition interpreter, as it was before the compiled
+    precondition: :func:`repro.ir.precond.evaluate` over ``_atom``."""
+
+    def holds(self, pre, bindings, analyses):
+        return evaluate(pre, lambda atom: self._atom(atom, bindings,
+                                                     analyses))
+
+    def _atom(self, atom, bindings, analyses):
+        if isinstance(atom, PredCmp):
+            width = (self._width_of(atom.a, bindings)
+                     or self._width_of(atom.b, bindings))
+            if width is None:
+                return False
+            try:
+                a = _eval_const(atom.a, width, bindings)
+                b = _eval_const(atom.b, width, bindings)
+            except _UnboundConstant:
+                return False
+            return compare(atom.op, a, b, width)
+        return self._call_holds(atom, bindings, analyses)
+
+    def _width_of(self, e, bindings) -> Optional[int]:
+        if isinstance(e, _NAMED):
+            bound = bindings.get(e.name)
+            return bound.width if bound is not None else None
+        if isinstance(e, ConstExpr):
+            for a in e.args:
+                w = self._width_of(a, bindings)
+                if w is not None:
+                    return w
+        return None
+
+    def _call_holds(self, call: PredCall, bindings, analyses) -> bool:
+        fn = call.fn
+        args = [bindings.get(a.name) if isinstance(a, _NAMED) else None
+                for a in call.args]
+        if any(v is None for v in args):
+            # a constant expression or literal argument is the constant
+            # it evaluates to, at the width another argument fixes
+            width = next(filter(None, (self._width_of(a, bindings)
+                                       for a in call.args)), None)
+            for i, a in enumerate(call.args):
+                if width is None or not isinstance(a, (ConstExpr, ast.Literal)):
+                    continue
+                try:
+                    args[i] = MConst(_eval_const(a, width, bindings),
+                                     width)
+                except (_UnboundConstant, ast.AliveError):
+                    pass
+        if fn == "hasOneUse":
+            return args[0] is not None and analyses.has_one_use(args[0])
+        if fn == "isConstant":
+            return isinstance(args[0], MConst)
+        if fn == "MaskedValueIsZero":
+            v = args[0]
+            if v is None:
+                return False
+            try:
+                mask = _eval_const(call.args[1], v.width, bindings)
+            except (_UnboundConstant, ast.AliveError):
+                return False
+            return analyses.masked_value_is_zero(v, mask)
+        if all(isinstance(v, MConst) for v in args):
+            return builtin_holds(fn, [v.value for v in args], args[0].width)
+        query = _ANALYSIS_QUERIES.get(fn)
+        if query is None or any(v is None for v in args):
+            return False
+        return getattr(analyses, query)(*args)
+
+
+class _UnboundConstant(Exception):
+    pass
+
+
+def _resolve_const(bindings, sym) -> int:
+    if isinstance(sym, ConstExpr):  # width(%x), the one change
+        bound = bindings.get(sym.args[0].name)
+        if bound is None:
+            raise _UnboundConstant(sym.name)
+        return bound.width
+    bound = bindings.get(sym.name)
+    if not isinstance(bound, MConst):
+        raise _UnboundConstant(sym.name)
+    return bound.value
+
+
+def _eval_const(e, width: int, bindings) -> int:
+    return eval_constexpr(e, width, lambda sym: _resolve_const(bindings, sym))
+
+
 class ReferenceMatcher:
     """The recursive template walk, as it was before the match program."""
 
-    def __init__(self, matcher: TemplateMatcher):
-        transformation = matcher.t
+    def __init__(self, transformation: ast.Transformation):
         self.t = transformation
         self.root_pattern = transformation.src[transformation.root]
-        self._atom = matcher._atom  # the one precondition path
+        self._pre = ReferencePrecondition()
         checker = TypeChecker()
         checker.check_transformation(transformation)
         system = checker.system
@@ -92,8 +198,7 @@ class ReferenceMatcher:
             return None
         if not self._widths_feasible(observations):
             return None
-        if not evaluate(self.t.pre,
-                        lambda atom: self._atom(atom, bindings, analyses)):
+        if not self._pre.holds(self.t.pre, bindings, analyses):
             return None
         return Match(inst, bindings)
 
@@ -237,7 +342,7 @@ def same_outcome(matcher, inst, analyses):
     """Assert the program and the walk agree on *inst*; return the
     program's outcome."""
     got = outcome(matcher.match, inst, analyses)
-    want = outcome(ReferenceMatcher(matcher).match, inst, analyses)
+    want = outcome(ReferenceMatcher(matcher.t).match, inst, analyses)
     assert got == want, (matcher.t.name, repr(inst), matcher.program.source)
     return got
 
@@ -247,15 +352,24 @@ def same_outcome(matcher, inst, analyses):
 
 
 def corpus():
-    return [TemplateMatcher(t) for t in load_all_flat() + load_fp()]
+    """A matcher for each corpus rule whose program compiles."""
+    out = []
+    for t in load_all_flat() + load_fp():
+        try:
+            out.append(TemplateMatcher(t))
+        except RewriteError:
+            continue
+    return out
 
 
-def instantiate(t, width, seed):
+def instantiate(t, width, seed, constants=None):
     """*t*'s source template as a concrete function whose root is the
     last instruction, with types from the assignment that prefers
     *width*; returns ``(fn, slots)`` where *slots* lists each
     ``(instruction, operand index, template operand)``, or None when the
-    template has no concrete form (memory, no assignment)."""
+    template has no concrete form (memory, no assignment).  A constant
+    symbol takes its value from *constants* (name -> value), else a
+    random one."""
     checker = TypeChecker()
     checker.check_transformation(t)
     assignment = next(enumerate_assignments(
@@ -267,7 +381,7 @@ def instantiate(t, width, seed):
     fn = MFunction("f", [])
     made, slots = {}, []
 
-    def constants():
+    def symbols():
         return {v.name: made[id(v)].value for v in t.source_values()
                 if isinstance(v, ast.ConstantSymbol) and id(v) in made}
 
@@ -281,12 +395,16 @@ def instantiate(t, width, seed):
         elif isinstance(v, ast.ConstantSymbol):
             made[id(v)] = MConst(rng.choice(
                 (0, 1, -1, rng.randrange(1 << w))), w)
+            if constants is not None and v.name in constants:
+                made[id(v)] = MConst(constants[v.name], w)
         elif isinstance(v, ast.Literal):
             made[id(v)] = MConst(v.value, w)
         elif isinstance(v, (ConstExpr, ast.UndefValue)):
-            known = constants()
+            known = symbols()
             try:
-                value = eval_constexpr(v, w, lambda s: known[s.name])
+                value = eval_constexpr(v, w, lambda s: known[s.name] if
+                                       isinstance(s, ast.ConstantSymbol)
+                                       else made[id(s.args[0])].width)
             except (KeyError, ast.AliveError):
                 value = rng.randrange(1 << w)
             made[id(v)] = MConst(value, w)
@@ -326,6 +444,59 @@ def test_every_corpus_template_at_widths_1_4_8():
                 hits += same_outcome(matcher, inst, analyses) is not None
     # the instances exercise both outcomes, not only rejection
     assert tried > 1000 and hits > 100
+
+
+def test_every_corpus_precondition_on_all_constants_at_i4():
+    compared = hits = 0
+    fired = set()
+    for matcher in corpus():
+        if matcher.program.pre is None:
+            continue
+        built = instantiate(matcher.t, 4, matcher.t.name)
+        if built is None:
+            continue
+        widths = {p.name: inst.operands[i].width
+                  for inst, i, p in built[1]
+                  if isinstance(p, ast.ConstantSymbol)}
+        names = sorted(widths)
+        reference = ReferenceMatcher(matcher.t)
+        for values in itertools.product(
+                *(range(1 << widths[name]) for name in names)):
+            fn, _ = instantiate(matcher.t, 4, matcher.t.name,
+                                dict(zip(names, values)))
+            analyses = Analyses(fn)
+            got = outcome(matcher.match, fn.ret, analyses)
+            assert got == outcome(reference.match, fn.ret, analyses), \
+                (matcher.t.name, values, matcher.program.source)
+            compared += 1
+            if got is not None:
+                hits += 1
+                fired.add(matcher.t.name)
+    assert compared > 2000 and hits > 500
+    # the rules that read width(%x) match where the width allows
+    assert {"Shifts:shl-shl-const", "Shifts:lshr-lshr-const",
+            "Shifts:ashr-ashr-const", "Shifts:shl-shl-nuw"} <= fired
+
+
+def test_rules_rejected_when_compiled_never_matched():
+    rejected = []
+    for t in load_all_flat() + load_fp():
+        try:
+            TemplateMatcher(t)
+        except RewriteError:
+            rejected.append(t)
+    # its precondition reads C, which no source pattern binds
+    assert [t.name for t in rejected] == ["Shifts:lshr-to-udiv"]
+    tried = 0
+    for t in rejected:
+        reference = ReferenceMatcher(t)
+        for width in WIDTHS:
+            for k in range(3):
+                fn, _ = instantiate(t, width, "%s/%d" % (width, k))
+                for inst in fn.instrs:
+                    assert reference.match(inst, Analyses(fn)) is None
+                    tried += 1
+    assert tried > 0
 
 
 def mutants(matcher):
@@ -486,6 +657,41 @@ def test_shared_instruction_is_one_value():
     check(text, fn.add("mul", [one, fn.add("add", [a, b], 8)], 8), fn, False)
 
 
+def test_width_is_read_off_the_bound_value():
+    text = ("Pre: (C1 + C2) u< width(%x)\n%a = shl %x, C1\n"
+            "%r = shl %a, C2\n=>\n%r = shl %x, C1 + C2")
+    fn = fn8()
+    inner = fn.add("shl", [fn.args[0], MConst(3, 8)], 8)
+    check(text, fn.add("shl", [inner, MConst(4, 8)], 8), fn, True)
+    check(text, fn.add("shl", [inner, MConst(5, 8)], 8), fn, False)
+    # width(%x) - 1 as a source constant
+    text = "%r = lshr %x, width(%x) - 1\n=>\n%r = lshr %x, width(%x) - 1"
+    check(text, fn.add("lshr", [fn.args[0], MConst(7, 8)], 8), fn, True)
+    check(text, fn.add("lshr", [fn.args[0], MConst(6, 8)], 8), fn, False)
+
+
+def test_comparison_takes_the_width_of_its_type():
+    # width(%x) is 4, compared as an i8 like C, not at %x's 4 bits
+    matcher = TemplateMatcher(parse_transformation(
+        "Pre: width(%x) u> C\n%a = zext %x\n%r = add %a, C\n=>\n"
+        "%r = add %a, C"))
+    for c, expect in ((3, True), (4, False), (19, False)):
+        fn = MFunction("g", [MArg("%a", 4)])
+        wide = fn.add("zext", [fn.args[0]], 8)
+        root = fn.add("add", [wide, MConst(c, 8)], 8)
+        assert (matcher.match(root, Analyses(fn)) is not None) == expect
+
+
+@pytest.mark.parametrize("text", [
+    "Pre: C2 == 1\n%r = add %x, C\n=>\n%r = add %x, C",
+    "Pre: isPowerOf2(%y)\n%r = add %x, C\n=>\n%r = add %x, C",
+    "Pre: width(%y) u> C\n%r = add %x, C\n=>\n%r = add %x, C",
+])
+def test_unbound_name_is_rejected_when_compiled(text):
+    with pytest.raises(RewriteError):
+        TemplateMatcher(parse_transformation(text))
+
+
 def test_source_and_filename():
     t = parse_transformation("%r = add %x, 0\n=>\n%r = %x")
     t.name = 'x"\nraise SystemExit(1)\n#'
@@ -521,7 +727,7 @@ def test_every_candidate_pair_of_the_pass(seed):
                         ref = references.get(id(opt))
                         if ref is None:
                             ref = references[id(opt)] = \
-                                ReferenceMatcher(opt.matcher)
+                                ReferenceMatcher(opt.transformation)
                         want = outcome(ref.match, inst, analyses)
                         got = outcome(opt.matcher.match, inst, analyses)
                         assert got == want, (opt.name, repr(inst))

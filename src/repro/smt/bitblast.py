@@ -13,15 +13,21 @@ gate they have in common.
 
 Circuit constructions are the classic ones: ripple-carry adders, a
 shift-add multiplier, a restoring divider, logarithmic barrel shifters,
-and borrow-chain comparators.  Division by zero follows SMT-LIB
-(``bvudiv x 0 = all-ones``, ``bvurem x 0 = x``) to stay consistent with
+and borrow-chain comparators.  Each row of the divider subtracts the
+divisor from the shifted partial remainder ``r`` (w+1 bits) as
+``r + ~y + 1``; that sum carries out exactly when ``r >= y``, so the
+carry-out is the row's quotient bit and selects ``r - y`` or ``r``
+with no comparator of its own.  The divisor's top bit is 0, so the
+top stage is ``top | carry`` and only the low w bits of the difference
+are built.  Division by zero follows SMT-LIB (``bvudiv x 0 =
+all-ones``, ``bvurem x 0 = x``) to stay consistent with
 :mod:`repro.smt.eval` — Alive's verification conditions always guard
 division anyway, so any consistent totalization works.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import terms as T
 from .cnf import CnfBuilder
@@ -152,10 +158,7 @@ class BitBlaster:
         if op == T.OP_BVNOT:
             return [-x for x in self.bits(t.args[0])]
         if op == T.OP_BVNEG:
-            xs = self.bits(t.args[0])
-            return self._adder([-x for x in xs],
-                               [b.lit_const(False)] * len(xs),
-                               b.lit_const(True))
+            return self._negate(self.bits(t.args[0]))
         if op == T.OP_BVAND:
             xs, ys = self.bits(t.args[0]), self.bits(t.args[1])
             return [b.gate_and([x, y]) for x, y in zip(xs, ys)]
@@ -167,11 +170,11 @@ class BitBlaster:
             return [b.gate_xor(x, y) for x, y in zip(xs, ys)]
         if op == T.OP_BVADD:
             return self._adder(self.bits(t.args[0]), self.bits(t.args[1]),
-                               b.lit_const(False))
+                               b.lit_const(False))[0]
         if op == T.OP_BVSUB:
             ys = self.bits(t.args[1])
             return self._adder(self.bits(t.args[0]), [-y for y in ys],
-                               b.lit_const(True))
+                               b.lit_const(True))[0]
         if op == T.OP_BVMUL:
             return self._multiplier(self.bits(t.args[0]), self.bits(t.args[1]))
         if op == T.OP_BVUDIV:
@@ -207,12 +210,14 @@ class BitBlaster:
     # Circuits
     # ------------------------------------------------------------------
 
-    def _adder(self, xs: List[int], ys: List[int], carry: int) -> List[int]:
+    def _adder(self, xs: List[int], ys: List[int],
+               carry: int) -> Tuple[List[int], int]:
+        """Ripple-carry addition; returns (sum bits, carry-out)."""
         out = []
         for x, y in zip(xs, ys):
             s, carry = self.builder.gate_full_adder(x, y, carry)
             out.append(s)
-        return out
+        return out, carry
 
     def _multiplier(self, xs: List[int], ys: List[int]) -> List[int]:
         """Shift-and-add multiplication (O(w^2) gates)."""
@@ -225,7 +230,7 @@ class BitBlaster:
             addend = [b.lit_const(False)] * i + [
                 b.gate_and([x, yi]) for x in xs[: w - i]
             ]
-            acc = self._adder(acc, addend, b.lit_const(False))
+            acc = self._adder(acc, addend, b.lit_const(False))[0]
         return acc
 
     def _ult(self, xs: List[int], ys: List[int]) -> int:
@@ -256,27 +261,28 @@ class BitBlaster:
         SMT-LIB convention for a zero divisor."""
         b = self.builder
         w = len(xs)
-        # remainder register, one extra bit so the subtraction cannot wrap
-        r = [b.lit_const(False)] * (w + 1)
-        ys_ext = ys + [b.lit_const(False)]
+        r = [b.lit_const(False)] * w
+        not_ys = [-y for y in ys]
         q = [b.lit_const(False)] * w
         for i in range(w - 1, -1, -1):
-            # r = (r << 1) | x_i
-            r = [xs[i]] + r[:w]
-            ge = -self._ult(r, ys_ext)
-            diff = self._adder(r, [-y for y in ys_ext], b.lit_const(True))
+            # (r << 1) | x_i has w+1 bits; its top bit is r's top bit
+            top, r = r[-1], [xs[i]] + r[:-1]
+            # r + ~y + 1 carries out of w+1 bits exactly when r >= y; the
+            # top bit adds 0 + ~0, so its carry-out is top | carry
+            diff, carry = self._adder(r, not_ys, b.lit_const(True))
+            ge = b.gate_or([top, carry])
             r = self._mux_vec(ge, diff, r)
             q[i] = ge
         div_zero = self._is_zero(ys)
         ones = [b.lit_const(True)] * w
         q = self._mux_vec(div_zero, ones, q)
-        r_out = self._mux_vec(div_zero, xs, r[:w])
+        r_out = self._mux_vec(div_zero, xs, r)
         return q, r_out
 
     def _negate(self, xs: List[int]) -> List[int]:
         b = self.builder
         return self._adder([-x for x in xs], [b.lit_const(False)] * len(xs),
-                           b.lit_const(True))
+                           b.lit_const(True))[0]
 
     def _sdiv(self, xs: List[int], ys: List[int], rem: bool) -> List[int]:
         """Signed division/remainder via magnitudes (truncated division).

@@ -15,7 +15,18 @@ one variable and one set of definition clauses.  The keys are:
   (complementary inputs fold to false);
 * ``xor``: the sorted absolute input values, with the sign parity moved
   onto the returned literal;
-* ``ite``: a positive selector (a negative one swaps the branches).
+* ``ite``: a positive selector (a negative one swaps the branches);
+* ``maj`` (a full adder's carry): the three inputs sorted by variable,
+  with at most one of them negated - by self-duality,
+  ``maj(¬a, ¬b, ¬c) = ¬maj(a, b, c)``, so the negation of two or three
+  inputs moves onto the returned literal;
+* ``xor3`` (a full adder's sum): the sorted absolute input values, with
+  the sign parity moved onto the returned literal, as for ``xor``.
+
+``maj`` and ``xor3`` fold constant, repeated and complementary inputs
+first (``maj(a, b, ⊤) = a ∨ b``, ``xor3(a, a, c) = c``), so a full
+adder over three distinct variables costs two variables and 14 clauses,
+and a half adder is one ``xor`` and one ``and``.
 
 A definition is a permanent, unguarded equivalence between the output
 and its inputs, so reusing it in any later constraint of the same
@@ -177,13 +188,68 @@ class CnfBuilder:
             self.add_clause([out, -t, -e])
         return out
 
+    def gate_xor3(self, a: int, b: int, c: int) -> int:
+        """Three-input parity ``a ⊕ b ⊕ c``: one variable, 8 clauses."""
+        negate = False
+        inputs = set()
+        for l in (a, b, c):
+            if l < 0:
+                negate, l = not negate, -l
+            if l == self.true_lit:
+                negate = not negate
+            else:
+                inputs ^= {l}  # x ⊕ x = 0
+        if len(inputs) < 3:
+            if len(inputs) == 2:
+                out = self.gate_xor(*inputs)
+            else:
+                out = inputs.pop() if inputs else self.false_lit
+            return -out if negate else out
+        key = ("xor3",) + tuple(sorted(inputs))
+        out = self._gates.get(key)
+        if out is None:
+            out = self._gates[key] = self.new_var()
+            x, y, z = key[1:]
+            for sx in (x, -x):
+                for sy in (y, -y):
+                    for sz in (z, -z):
+                        # inputs true exactly where negated here: out
+                        # is their parity
+                        odd = (sx < 0) ^ (sy < 0) ^ (sz < 0)
+                        self.add_clause([sx, sy, sz, out if odd else -out])
+        return -out if negate else out
+
+    def gate_maj(self, a: int, b: int, c: int) -> int:
+        """Majority of three: at least two inputs true.  One variable,
+        6 clauses."""
+        true_lit = self.true_lit
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            if z == true_lit:
+                return self.gate_or([x, y])
+            if z == -true_lit:
+                return self.gate_and([x, y])
+            if x == y:
+                return x
+            if x == -y:
+                return z
+        # self-duality: maj(¬a, ¬b, ¬c) = ¬maj(a, b, c), so the key has
+        # at most one negated input
+        negate = (a < 0) + (b < 0) + (c < 0) >= 2
+        if negate:
+            a, b, c = -a, -b, -c
+        key = ("maj",) + tuple(sorted((a, b, c), key=abs))
+        out = self._gates.get(key)
+        if out is None:
+            out = self._gates[key] = self.new_var()
+            x, y, z = key[1:]
+            for p, q in ((x, y), (x, z), (y, z)):
+                self.add_clause([-out, p, q])
+                self.add_clause([out, -p, -q])
+        return -out if negate else out
+
     def gate_full_adder(self, a: int, b: int, cin: int):
         """Return ``(sum, carry)`` literals of a full adder."""
-        s = self.gate_xor(self.gate_xor(a, b), cin)
-        carry = self.gate_or(
-            [self.gate_and([a, b]), self.gate_and([a, cin]), self.gate_and([b, cin])]
-        )
-        return s, carry
+        return self.gate_xor3(a, b, cin), self.gate_maj(a, b, cin)
 
     def assert_lit(self, lit: int) -> None:
         self.add_clause([lit])

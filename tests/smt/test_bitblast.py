@@ -4,10 +4,12 @@ Every bitvector circuit is compared against the concrete evaluator over
 the *entire* input space at width 3 (and width 4 for division) — if the
 adders, shifters, multiplier and dividers agree with
 :mod:`repro.smt.eval` everywhere, the solver pipeline rests on solid
-ground.
+ground.  Set ``ALIVE_REPRO_PARITY_FULL=1`` to also check add, sub, mul
+and the four divisions on every input pair at width 5.
 """
 
 import itertools
+import os
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.smt import terms as T
 from repro.smt.bitblast import BitBlaster
 from repro.smt.eval import evaluate
 from repro.smt.sat import SAT, SatSolver
+
+FULL = os.environ.get("ALIVE_REPRO_PARITY_FULL") == "1"
 
 BINOPS = [
     T.bvadd, T.bvsub, T.bvmul, T.bvudiv, T.bvsdiv, T.bvurem, T.bvsrem,
@@ -69,6 +73,15 @@ def test_binops_width3(op):
                          ids=lambda f: f.__name__)
 def test_division_width4(op):
     circuit_agrees_everywhere(op, 4)
+
+
+@pytest.mark.skipif(not FULL, reason="set ALIVE_REPRO_PARITY_FULL=1 for "
+                    "every input pair at width 5")
+@pytest.mark.parametrize("op", [
+    T.bvadd, T.bvsub, T.bvmul, T.bvudiv, T.bvsdiv, T.bvurem, T.bvsrem,
+], ids=lambda f: f.__name__)
+def test_arithmetic_width5(op):
+    circuit_agrees_everywhere(op, 5)
 
 
 @pytest.mark.parametrize("op", COMPARISONS, ids=lambda f: f.__name__)
@@ -163,3 +176,16 @@ def test_urem_after_udiv_shares_the_divider():
     bb.bits(T.bvurem(x, y))
     assert bb.builder.num_vars == vars_before
     assert len(bb.builder.clauses) == clauses_before
+
+
+def test_circuit_size_udiv_chain_w5():
+    """The CNF of ``udiv(udiv(x, C1), C2) != udiv(x, C1*C2)`` at width 5
+    (the query ``test_sat.py`` pins the search of).  A full adder is one
+    majority and one 3-input xor variable, and each divider row takes
+    its quotient bit from its subtraction's carry; a change to either
+    moves these counts."""
+    x, c1, c2 = (T.bv_var(name, 5) for name in ("x", "C1", "C2"))
+    bb = BitBlaster()
+    bb.assert_formula(T.ne(T.bvudiv(T.bvudiv(x, c1), c2),
+                           T.bvudiv(x, T.bvmul(c1, c2))))
+    assert (bb.builder.num_vars, len(bb.builder.clauses)) == (327, 1730)

@@ -282,9 +282,9 @@ class TestSearchIsPinned:
             solver.add_clause(clause)
         status = solver.solve()
         model = blaster.extract_model(solver)
-        assert (builder.num_vars, len(builder.clauses)) == (792, 2939)
+        # the CNF itself is pinned in test_bitblast.py
         assert (status, solver.conflicts, solver.decisions,
-                solver.propagations) == (SAT, 1, 15, 839)
+                solver.propagations) == (SAT, 1, 15, 352)
         assert (model[x], model[c1], model[c2]) == (0, 0, 16)
 
 

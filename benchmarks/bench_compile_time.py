@@ -4,8 +4,9 @@ Paper: "Compilation using LLVM+Alive was on average 7% faster than
 LLVM because it runs only a fraction of the total InstCombine
 optimizations."
 
-Stand-ins (DESIGN.md): the *full* optimizer is the hand-written
-baseline rule set plus the Alive corpus (InstCombine's superset role);
+Stand-ins (DESIGN.md): the *full* optimizer is the baseline rule set
+(native constant folds, then the verified identities of
+``baseline.opt``) plus the Alive corpus (InstCombine's superset role);
 LLVM+Alive runs the verified Alive corpus only.  The measured quantity
 is optimizer wall-clock over the same workload; expected shape: the
 Alive-only optimizer compiles measurably faster because it attempts

@@ -54,8 +54,8 @@ def test_exec_time(benchmark, report):
 
     report("§6.4 execution time — cost-model estimate of optimized code")
     report("")
-    report("paper: LLVM+Alive code averages 3%% slower; gcc 7%% faster,")
-    report("equake 10%% slower (per-benchmark deltas span both signs)")
+    report("paper: LLVM+Alive code averages 3% slower; gcc 7% faster,")
+    report("equake 10% slower (per-benchmark deltas span both signs)")
     report("")
     report("full-optimizer code cost:   %.0f" % cost_full)
     report("LLVM+Alive code cost:       %.0f" % cost_alive)

@@ -17,6 +17,7 @@ the query simplifier reduces it to a syntactic identity first.
 from __future__ import annotations
 
 import time
+from statistics import median
 
 from repro.core import Config, verify
 from repro.ir import parse_transformation
@@ -55,13 +56,24 @@ WIDTHS = (3, 4, 5)
 REASSOC_WIDTHS = (3, 4, 5, 8, 16)
 
 
+#: runs per (rule, width): one run of the w5 multiplier query swings by
+#: tens of percent, so each row is the median of several
+RUNS = 3
+
+
 def _time_verify(label, text, width):
+    """``(label, width, median, min, max, status)`` of RUNS verifications,
+    in seconds; *status* joins the distinct verdicts."""
     config = Config(max_width=width, prefer_widths=(width,),
                     max_type_assignments=1)
     t = parse_transformation(text, label)
-    start = time.perf_counter()
-    result = verify(t, config)
-    return label, width, time.perf_counter() - start, result.status
+    times, statuses = [], set()
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        statuses.add(verify(t, config).status)
+        times.append(time.perf_counter() - start)
+    return (label, width, median(times), min(times), max(times),
+            "/".join(sorted(statuses)))
 
 
 def run_scaling():
@@ -83,11 +95,15 @@ def test_verify_scaling(benchmark, report):
     report("formulas blow up at larger widths (hours at 64 bits),")
     report("worked around by limiting operand widths")
     report("")
-    report("%-11s %6s %10s %8s" % ("opt", "width", "seconds", "status"))
-    report("-" * 40)
+    report("median of %d runs per row" % RUNS)
+    report("")
+    report("%-11s %6s %10s %17s %8s"
+           % ("opt", "width", "seconds", "min-max", "status"))
+    report("-" * 56)
     times = {}
-    for label, width, elapsed, status in rows:
-        report("%-11s %6d %10.3f %8s" % (label, width, elapsed, status))
+    for label, width, elapsed, least, most, status in rows:
+        report("%-11s %6d %10.3f %17s %8s" % (
+            label, width, elapsed, "%.3f-%.3f" % (least, most), status))
         times[(label, width)] = elapsed
         assert status == "valid", (label, width, status)
 
@@ -98,7 +114,7 @@ def test_verify_scaling(benchmark, report):
         times[("mul-nsw", WIDTHS[0])], 1e-9
     )
     report("")
-    report("growth %d->%d bits: xor-chain x%.1f, mul-nsw x%.1f"
+    report("growth %d->%d bits (medians): xor-chain x%.1f, mul-nsw x%.1f"
            % (WIDTHS[0], WIDTHS[-1], easy_growth, hard_growth))
     report("shape: multiplication queries grow much faster with width;")
     report("mul-reassoc stays flat: AC normal form, no multiplier in SAT")

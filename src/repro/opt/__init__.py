@@ -6,14 +6,14 @@ generated C++ (paper §4, §6.4).
   (Figure 9's data).
 * :func:`~repro.opt.pass_manager.compile_opts` turns verified Alive
   transformations into appliable optimizations.
-* :mod:`repro.opt.baseline` is the hand-written InstCombine stand-in
-  used as the §6.4 comparison baseline.
+* :mod:`repro.opt.baseline` holds the native constant folds and the
+  full-InstCombine stand-in used as the §6.4 comparison baseline.
 * :mod:`repro.opt.analysis` implements the dataflow analyses behind the
   precondition predicates (known bits, one-use, overflow facts).
 """
 
 from .analysis import Analyses, KnownBitsAnalysis
-from .baseline import NativeRule, baseline_rule_names, baseline_rules, folding_rules
+from .baseline import NativeRule, baseline_rules, folding_rules
 from .dce import run_dce, run_dce_module
 from .matcher import Match, TemplateMatcher
 from .pass_manager import PassStatistics, PeepholeOpt, PeepholePass, compile_opts
@@ -24,7 +24,6 @@ __all__ = [
     "KnownBitsAnalysis",
     "NativeRule",
     "baseline_rules",
-    "baseline_rule_names",
     "folding_rules",
     "run_dce",
     "run_dce_module",

@@ -11,6 +11,7 @@ Loaders:
 * :func:`load_category` / :func:`load_all` — the correct corpus;
 * :func:`load_bugs` — the Figure 8 transformations (all must refute);
 * :func:`load_patches` — the three-revision §6.2 scenario;
+* :func:`load_baseline` — the identities of the §6.4 baseline optimizer;
 * :data:`PAPER_TABLE3` — the paper's own Table 3 numbers, for the
   side-by-side comparison printed by ``benchmarks/bench_table3.py``.
 """
@@ -108,6 +109,13 @@ def load_bugs() -> List[Transformation]:
 def load_patches() -> List[Transformation]:
     """The §6.2 patch-review scenario (invalid, invalid, valid)."""
     return _load_file("patches.opt")
+
+
+def load_baseline() -> List[Transformation]:
+    """The identities of the baseline optimizer, the full-InstCombine
+    stand-in of §6.4 (see :func:`repro.opt.baseline_rules`); not part
+    of CATEGORIES, so the corpus workloads do not see them."""
+    return _load_file("baseline.opt")
 
 
 #: expected verdict for every rule in fp.opt — the file deliberately

@@ -224,8 +224,8 @@ class TestBaselineRules:
         assert pass_.stats.fired == {"fold-conv": 1}
 
     @pytest.mark.parametrize("opcode, c, name", [
-        ("sdiv", 1, "div-one"), ("urem", 1, "rem-one"),
-        ("ashr", 0, "shift-zero")])
+        ("sdiv", 1, "Baseline:sdiv-one"), ("urem", 1, "Baseline:urem-one"),
+        ("ashr", 0, "Baseline:ashr-zero")])
     def test_multi_opcode_rules_fire(self, opcode, c, name):
         fn = fn8(1)
         fn.ret = fn.add(opcode, [fn.args[0], MConst(c, 8)], 8)

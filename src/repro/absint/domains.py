@@ -10,11 +10,6 @@ reduced product in :class:`AbsValue`:
 * :class:`SRange` — a non-wrapping signed interval ``[lo, hi]`` (stored
   as Python ints in two's-complement value space).
 
-And one backward domain:
-
-* demanded bits — a plain mask; see
-  :func:`repro.absint.transfer.demanded_operands`.
-
 Every element concretizes to a *set of defined, poison-free values*:
 poison and undef are handled at the :mod:`repro.absint.prove` layer
 (an undef occurrence is ⊤; an operation that may be poison is still
@@ -32,22 +27,9 @@ cross-check in the test suite.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
-
-def mask(width: int) -> int:
-    return (1 << width) - 1
-
-
-def to_signed(value: int, width: int) -> int:
-    value &= mask(width)
-    if value >= 1 << (width - 1):
-        return value - (1 << width)
-    return value
-
-
-def to_unsigned(value: int, width: int) -> int:
-    return value & mask(width)
+from ..ir.intops import mask, to_signed
 
 
 class KnownBits:
@@ -309,7 +291,7 @@ class AbsValue:
             return self.bits.value()
         if self.ur.is_singleton():
             return self.ur.lo
-        return to_unsigned(self.sr.lo, self.width)
+        return self.sr.lo & mask(self.width)
 
     def contains(self, x: int) -> bool:
         if self.empty:
@@ -365,8 +347,8 @@ class AbsValue:
                     self.sr = sr
                     changed = True
             if self.sr.lo >= 0 or self.sr.hi < 0:
-                ur = self.ur.meet(URange(w, to_unsigned(self.sr.lo, w),
-                                         to_unsigned(self.sr.hi, w)))
+                ur = self.ur.meet(URange(w, self.sr.lo & mask(w),
+                                         self.sr.hi & mask(w)))
                 if ur is None:
                     return self._make_empty()
                 if ur != self.ur:

@@ -12,9 +12,9 @@ semantics the verifier uses, two ways —
   escape the abstract result (the *same* CDCL stack the verifier runs
   on, so the analysis and the solver cannot disagree about semantics).
 
-The demanded-bits (backward) transfer obeys a different obligation,
-also checked here: operand vectors agreeing on the demanded operand
-bits must yield results agreeing on the demanded result bits.
+The concrete side of the exhaustive checks is :mod:`repro.ir.intops`
+and :func:`repro.ir.constexpr.apply_op`, the semantics the interpreter
+and the optimizer run.
 
 Run as a module for the CI ``absint-soundness`` job::
 
@@ -24,16 +24,18 @@ Run as a module for the CI ``absint-soundness`` job::
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from ..ir import intops
 from ..ir.ast import BINOPS, CONVOPS, ICMP_CONDS
+from ..ir.constexpr import apply_op
+from ..ir.intops import mask
 from ..smt import terms as T
 from ..smt.solver import UNSAT, check_sat
-from .domains import AbsValue, KnownBits, SRange, URange, mask
+from .domains import AbsValue, KnownBits, SRange, URange
 from .transfer import (
-    demanded_conv, demanded_operands, total_binop, total_conv, total_icmp,
-    transfer_binop, transfer_constexpr, transfer_conv, transfer_icmp,
-    transfer_select,
+    conv_kind, transfer_binop, transfer_constexpr, transfer_conv,
+    transfer_icmp, transfer_select,
 )
 
 #: constant-expression operators with their arity (beyond the binops)
@@ -108,7 +110,7 @@ def check_binop(opcode: str, width: int,
             r = transfer_binop(opcode, a, b)
             for x in xs:
                 for y in ys:
-                    z = total_binop(opcode, x, y, width)
+                    z = intops.total_binop(opcode, x, y, width)
                     if not r.contains(z):
                         failures.append(
                             "%s @%d: %r op %r -> %r misses %d (x=%d y=%d)"
@@ -128,7 +130,7 @@ def check_icmp(cond: str, width: int,
             r = transfer_icmp(cond, a, b)
             for x in xs:
                 for y in ys:
-                    z = total_icmp(cond, x, y, width)
+                    z = intops.icmp(cond, x, y, width)
                     if not r.contains(z):
                         failures.append(
                             "icmp %s @%d: %r, %r -> %r misses %d"
@@ -165,42 +167,17 @@ def check_conv(opcode: str, w_in: int, w_out: int,
                family: Optional[Sequence[AbsValue]] = None) -> List[str]:
     fam = family if family is not None else abs_family(w_in)
     failures: List[str] = []
-    kind = "sext" if opcode == "sext" else "zext" if w_out >= w_in else "trunc"
+    kind = conv_kind(opcode, w_in, w_out)
     for a in fam:
         r = transfer_conv(opcode, a, w_out)
         for x in members(a):
-            z = total_conv(kind, x, w_in, w_out)
+            z = intops.convert(kind, x, w_in, w_out)
             if not r.contains(z):
                 failures.append("%s %d->%d: %r -> %r misses %d"
                                 % (opcode, w_in, w_out, a, r, z))
                 if len(failures) > 5:
                     return failures
     return failures
-
-
-def _concrete_constexpr(op: str, vals: Sequence[int], w: int) -> int:
-    full = mask(w)
-    a = vals[0] & full
-    sa = a - (1 << w) if a >= 1 << (w - 1) else a
-    if op == "neg":
-        return (-a) & full
-    if op == "not":
-        return (~a) & full
-    if op == "abs":
-        return (-sa if sa < 0 else sa) & full
-    if op == "log2":
-        return (a.bit_length() - 1 if a > 0 else 0) & full
-    b = vals[1] & full
-    sb = b - (1 << w) if b >= 1 << (w - 1) else b
-    if op == "umax":
-        return max(a, b)
-    if op == "umin":
-        return min(a, b)
-    if op == "smax":
-        return (sa if sa >= sb else sb) & full
-    if op == "smin":
-        return (sa if sa <= sb else sb) & full
-    raise ValueError(op)
 
 
 def check_constexpr(op: str, arity: int, width: int,
@@ -216,71 +193,10 @@ def check_constexpr(op: str, arity: int, width: int,
         ys = [0] if b is None else b[1]
         for x in a[1]:
             for y in ys:
-                z = _concrete_constexpr(op, (x, y), width)
+                z = apply_op(op, (x, y), width)
                 if not r.contains(z):
                     failures.append("ce %s @%d: %r -> %r misses %d"
                                     % (op, width, args, r, z))
-                    if len(failures) > 5:
-                        return failures
-    return failures
-
-
-def _submasks(m: int) -> Iterator[int]:
-    s = m
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & m
-
-
-def check_demanded(opcode: str, width: int) -> List[str]:
-    """Exhaustive check of the demanded-bits contract: flipping
-    non-demanded operand bits never changes demanded result bits."""
-    full = mask(width)
-    failures: List[str] = []
-    shifts: List[Optional[int]] = [None]
-    if opcode in ("shl", "lshr", "ashr"):
-        shifts += list(range(width))
-    for d in range(1, full + 1):
-        for shift in shifts:
-            da, db = demanded_operands(opcode, d, width, shift=shift)
-            nd_a = full & ~da
-            nd_b = 0 if shift is not None else full & ~db
-            for x in range(full + 1):
-                ys = [shift] if shift is not None else range(full + 1)
-                for y in ys:
-                    base = total_binop(opcode, x, y, width)
-                    for fa in _submasks(nd_a):
-                        for fb in _submasks(nd_b):
-                            if fa == 0 and fb == 0:
-                                continue
-                            alt = total_binop(opcode, x ^ fa, y ^ fb, width)
-                            if (alt ^ base) & d:
-                                failures.append(
-                                    "%s @%d d=%#x shift=%r: x=%d y=%d "
-                                    "fa=%#x fb=%#x" % (opcode, width, d,
-                                                       shift, x, y, fa, fb))
-                                if len(failures) > 5:
-                                    return failures
-    return failures
-
-
-def check_demanded_conv(opcode: str, w_in: int, w_out: int) -> List[str]:
-    failures: List[str] = []
-    kind = "sext" if opcode == "sext" else "zext" if w_out >= w_in else "trunc"
-    for d in range(1, mask(w_out) + 1):
-        dx = demanded_conv(opcode, d, w_in, w_out)
-        nd = mask(w_in) & ~dx
-        for x in range(mask(w_in) + 1):
-            base = total_conv(kind, x, w_in, w_out)
-            for f in _submasks(nd):
-                if f == 0:
-                    continue
-                alt = total_conv(kind, x ^ f, w_in, w_out)
-                if (alt ^ base) & d:
-                    failures.append("%s %d->%d d=%#x x=%d f=%#x"
-                                    % (opcode, w_in, w_out, d, x, f))
                     if len(failures) > 5:
                         return failures
     return failures
@@ -463,8 +379,8 @@ def solver_check_width(width: int, opcodes: Iterable[str] = BINOPS,
 # ---------------------------------------------------------------------------
 
 
-def run_selfcheck(width: int = 3, solver_width: Optional[int] = None,
-                  demanded_width: Optional[int] = None) -> Dict[str, object]:
+def run_selfcheck(width: int = 3,
+                  solver_width: Optional[int] = None) -> Dict[str, object]:
     """Run the full obligation suite; returns a report dict with a
     ``failures`` list (empty = every transfer proven sound)."""
     failures: List[str] = []
@@ -485,14 +401,6 @@ def run_selfcheck(width: int = 3, solver_width: Optional[int] = None,
     for op, arity in CONSTEXPR_OPS:
         failures += check_constexpr(op, arity, width, fam)
         checked += 1
-    dw = demanded_width if demanded_width is not None else min(width, 3)
-    for opcode in BINOPS:
-        failures += check_demanded(opcode, dw)
-        checked += 1
-    for opcode in ("zext", "sext", "trunc"):
-        failures += check_demanded_conv(opcode, dw, dw + 1
-                                        if opcode != "trunc" else dw - 1 or 1)
-        checked += 1
     if solver_width:
         failures += solver_check_width(solver_width)
         checked += len(BINOPS)
@@ -509,13 +417,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="absint transfer-function soundness self-check")
     ap.add_argument("--width", type=int, default=4,
                     help="exhaustive enumeration width (default 4)")
-    ap.add_argument("--demanded-width", type=int, default=None,
-                    help="demanded-bits exhaustive width (default min(w,3))")
     ap.add_argument("--solver-width", type=int, default=None,
                     help="also run sampled solver-backed checks (e.g. 8)")
     args = ap.parse_args(argv)
-    report = run_selfcheck(args.width, args.solver_width,
-                           args.demanded_width)
+    report = run_selfcheck(args.width, args.solver_width)
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 1 if report["failures"] else 0

@@ -1,87 +1,31 @@
 """Abstract transfer functions over :class:`~repro.absint.domains.AbsValue`.
 
 Every function here abstracts the *total* SMT-LIB semantics used by the
-encoder (:mod:`repro.core.semantics` via :mod:`repro.smt.terms`):
-``bvudiv x 0 = all-ones``, ``bvsdiv x 0 = ±1``, ``bvurem/bvsrem x 0 =
-x``, shifts saturate at ``amount ≥ width``.  Definedness and poison are
-*not* part of the value abstraction — they are separate obligations
-discharged by :mod:`repro.absint.prove`, exactly mirroring the ι/δ/ρ
-split of the encoder.
+encoder (:mod:`repro.core.semantics`): ``bvudiv x 0 = all-ones``,
+``bvsdiv x 0 = ±1``, ``bvurem/bvsrem x 0 = x``, shifts saturate at
+``amount ≥ width``.  Definedness and poison are *not* part of the value
+abstraction — they are separate obligations discharged by
+:mod:`repro.absint.prove`, exactly mirroring the ι/δ/ρ split of the
+encoder.
 
 The soundness contract, checked by :mod:`repro.absint.selfcheck`:
 
     for all abstract A, B and concrete x ∈ γ(A), y ∈ γ(B):
-        total_binop(op, x, y, w) ∈ γ(transfer_binop(op, A, B))
+        intops.total_binop(op, x, y, w) ∈ γ(transfer_binop(op, A, B))
 
-:func:`total_binop` is the executable reference semantics; it delegates
-to the same helpers the term constructors fold constants with, so the
-abstraction and the solver cannot disagree about corner cases.
-
-The backward demanded-bits transfer :func:`demanded_operands` obeys a
-different contract (also self-checked): if two operand vectors agree on
-the demanded operand bits, the results agree on the demanded result
-bits.
+The concrete side is :mod:`repro.ir.intops`, the one concrete semantics
+the interpreter and the optimizer also run; the test suite checks it
+against :mod:`repro.smt.eval` on every input at small widths.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..smt import terms as T
-from .domains import AbsValue, KnownBits, SRange, URange, mask, to_signed
-
-# ---------------------------------------------------------------------------
-# Reference semantics (total, SMT-LIB): single source of truth shared
-# with the term constructors' constant folding.
-# ---------------------------------------------------------------------------
-
-_TOTAL = {
-    "add": lambda x, y, w: (x + y) & mask(w),
-    "sub": lambda x, y, w: (x - y) & mask(w),
-    "mul": lambda x, y, w: (x * y) & mask(w),
-    "udiv": T._udiv_val,
-    "sdiv": T._sdiv_val,
-    "urem": T._urem_val,
-    "srem": T._srem_val,
-    "shl": T._shl_val,
-    "lshr": T._lshr_val,
-    "ashr": T._ashr_val,
-    "and": lambda x, y, w: x & y,
-    "or": lambda x, y, w: x | y,
-    "xor": lambda x, y, w: x ^ y,
-}
-
-_ICMP_CONCRETE = {
-    "eq": lambda x, y, w: x == y,
-    "ne": lambda x, y, w: x != y,
-    "ugt": lambda x, y, w: x > y,
-    "uge": lambda x, y, w: x >= y,
-    "ult": lambda x, y, w: x < y,
-    "ule": lambda x, y, w: x <= y,
-    "sgt": lambda x, y, w: to_signed(x, w) > to_signed(y, w),
-    "sge": lambda x, y, w: to_signed(x, w) >= to_signed(y, w),
-    "slt": lambda x, y, w: to_signed(x, w) < to_signed(y, w),
-    "sle": lambda x, y, w: to_signed(x, w) <= to_signed(y, w),
-}
-
-
-def total_binop(opcode: str, x: int, y: int, width: int) -> int:
-    """Concrete total semantics of a binop (SMT-LIB totalization)."""
-    return _TOTAL[opcode](x & mask(width), y & mask(width), width)
-
-
-def total_icmp(cond: str, x: int, y: int, width: int) -> int:
-    """Concrete icmp over unsigned bit patterns; returns 0/1."""
-    return 1 if _ICMP_CONCRETE[cond](x & mask(width), y & mask(width), width) else 0
-
-
-def total_conv(opcode: str, x: int, w_in: int, w_out: int) -> int:
-    """Concrete zext/sext/trunc (and the width-changing pointer casts)."""
-    x &= mask(w_in)
-    if opcode == "sext":
-        return to_signed(x, w_in) & mask(w_out)
-    # zext / trunc / bitcast / ptrtoint / inttoptr: plain re-masking
-    return x & mask(w_out)
+from ..ir import intops
+from ..ir.constexpr import apply_op
+from ..ir.intops import mask
+from .domains import AbsValue, KnownBits, SRange, URange
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +78,8 @@ def transfer_binop(opcode: str, a: AbsValue, b: AbsValue) -> AbsValue:
     if a.empty or b.empty:
         return AbsValue.bottom(w)
     if a.is_singleton() and b.is_singleton():
-        return AbsValue.const(total_binop(opcode, a.value(), b.value(), w), w)
+        return AbsValue.const(
+            intops.total_binop(opcode, a.value(), b.value(), w), w)
     handler = _BINOP_TRANSFERS[opcode]
     return handler(a, b, w)
 
@@ -419,6 +364,15 @@ def transfer_select(c: AbsValue, a: AbsValue, b: AbsValue) -> AbsValue:
     return a.join(b)
 
 
+def conv_kind(opcode: str, w_in: int, w_out: int) -> str:
+    """The :func:`repro.ir.intops.convert` kind an integer conversion
+    computes: ``sext`` stays itself, every other cast (``bitcast``,
+    ``ptrtoint``, ``inttoptr`` included) is a zext or trunc by width."""
+    if opcode == "sext":
+        return "sext"
+    return "zext" if w_out >= w_in else "trunc"
+
+
 def transfer_conv(opcode: str, a: AbsValue, w_out: int) -> AbsValue:
     """zext / sext / trunc plus the width-adjusting pointer casts
     (``bitcast``/``ptrtoint``/``inttoptr`` reduce to these by width)."""
@@ -428,8 +382,8 @@ def transfer_conv(opcode: str, a: AbsValue, w_out: int) -> AbsValue:
     if w_out == w_in:
         return a
     if a.is_singleton():
-        kind = "sext" if opcode == "sext" else "zext"
-        return AbsValue.const(total_conv(kind, a.value(), w_in, w_out), w_out)
+        return AbsValue.const(intops.convert(
+            conv_kind(opcode, w_in, w_out), a.value(), w_in, w_out), w_out)
     if w_out > w_in and opcode == "sext":
         high = mask(w_out) & ~mask(w_in)
         sign = 1 << (w_in - 1)
@@ -485,8 +439,7 @@ def transfer_constexpr(op: str, args, width: int) -> AbsValue:
     int_max = (1 << (w - 1)) - 1
     if op == "abs":
         if a.is_singleton():
-            s = to_signed(a.value(), w)
-            return AbsValue.const(-s if s < 0 else s, w)
+            return AbsValue.const(apply_op(op, [a.value()], w), w)
         if a.sr.lo > int_min:
             m = max(-a.sr.lo, a.sr.hi, 0)
             return AbsValue.from_srange(SRange(w, 0, min(m, int_max)))
@@ -511,81 +464,3 @@ def transfer_constexpr(op: str, args, width: int) -> AbsValue:
         return AbsValue.from_srange(
             SRange(w, min(a.sr.lo, b.sr.lo), min(a.sr.hi, b.sr.hi)))
     raise ValueError("unknown constant-expression op %r" % op)
-
-
-# ---------------------------------------------------------------------------
-# Demanded bits (backward)
-# ---------------------------------------------------------------------------
-
-
-def _up_to_highest(demanded: int, width: int) -> int:
-    """All bits at or below the highest demanded bit (carries only
-    propagate upward)."""
-    if demanded == 0:
-        return 0
-    return mask(min(demanded.bit_length(), width))
-
-
-def _at_or_above_lowest(demanded: int, width: int) -> int:
-    if demanded == 0:
-        return 0
-    low = (demanded & -demanded).bit_length() - 1
-    return mask(width) & ~mask(low)
-
-
-def demanded_operands(opcode: str, demanded: int, width: int,
-                      shift: Optional[int] = None) -> Tuple[int, int]:
-    """Backward transfer: which operand bits can influence the demanded
-    result bits?  For shifts, ``shift`` is the concrete amount when the
-    second operand is a known constant (the returned mask for ``b`` is
-    then irrelevant — the caller holds it fixed).
-
-    Contract (self-checked): if ``x ≡ x'`` on the first mask and
-    ``y ≡ y'`` on the second, then ``op(x,y) ≡ op(x',y')`` on
-    *demanded*.
-    """
-    w = width
-    full = mask(w)
-    if demanded == 0:
-        return 0, 0
-    demanded &= full
-    if opcode in ("and", "or", "xor"):
-        return demanded, demanded
-    if opcode in ("add", "sub", "mul"):
-        m = _up_to_highest(demanded, w)
-        return m, m
-    if opcode == "shl":
-        if shift is not None:
-            return (demanded >> shift) & full, full
-        return _up_to_highest(demanded, w), full
-    if opcode == "lshr":
-        if shift is not None:
-            return (demanded << shift) & full, full
-        return _at_or_above_lowest(demanded, w), full
-    if opcode == "ashr":
-        if shift is not None:
-            da = 0
-            for i in range(w):
-                if (demanded >> i) & 1:
-                    da |= 1 << min(i + shift, w - 1)
-            return da, full
-        return _at_or_above_lowest(demanded, w) | (1 << (w - 1)), full
-    # division/remainder: every bit of both operands can matter
-    return full, full
-
-
-def demanded_conv(opcode: str, demanded: int, w_in: int, w_out: int) -> int:
-    """Backward transfer through a conversion: demanded input bits."""
-    if demanded == 0:
-        return 0
-    demanded &= mask(w_out)
-    if opcode in ("zext", "ptrtoint", "inttoptr", "bitcast"):
-        return demanded & mask(w_in)
-    if opcode == "sext":
-        dx = demanded & mask(w_in)
-        if demanded & ~mask(w_in - 1):
-            dx |= 1 << (w_in - 1)
-        return dx
-    if opcode == "trunc":
-        return demanded  # low bits map through unchanged
-    raise ValueError("unsupported conversion %r" % opcode)

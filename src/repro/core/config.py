@@ -35,10 +35,6 @@ class Config:
             FP type variables, in preference order (half first: the
             16-bit soft-float circuits are dramatically cheaper to
             bit-blast than double's).
-        brute_max_bits: cap on the total number of input bits the brute
-            enumeration oracle (:mod:`repro.smt.brute`) will exhaust;
-            one half operand is 16 bits, so the default admits a
-            half-precision unary rule plus analysis booleans.
     """
 
     def __init__(
@@ -52,7 +48,6 @@ class Config:
         simplify_queries: bool = True,
         time_limit=None,
         fp_formats=("half", "float", "double"),
-        brute_max_bits: int = 22,
     ):
         self.max_width = max_width
         self.prefer_widths = tuple(prefer_widths)
@@ -65,7 +60,6 @@ class Config:
         self.simplify_queries = simplify_queries
         self.time_limit = time_limit
         self.fp_formats = tuple(fp_formats)
-        self.brute_max_bits = brute_max_bits
 
     def to_dict(self) -> dict:
         """All knobs as JSON-serializable plain data.
@@ -84,7 +78,6 @@ class Config:
             "simplify_queries": self.simplify_queries,
             "time_limit": self.time_limit,
             "fp_formats": list(self.fp_formats),
-            "brute_max_bits": self.brute_max_bits,
         }
 
     @classmethod

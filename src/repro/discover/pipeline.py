@@ -152,7 +152,6 @@ class DiscoveryReport:
             ("mined templates", "mined_templates"),
             ("paired candidates", "candidates"),
             ("selected for verification", "selected"),
-            ("refuted by absint pre-filter", "absint_refuted"),
             ("verified valid", "verified_valid"),
             ("refuted", "refuted"),
             ("salvage attempts", "salvage_attempts"),
@@ -306,38 +305,6 @@ def run_discovery(options: DiscoverOptions,
     if len(selected) < len(candidates):
         say("selected %d of %d candidates (opcode round-robin, "
             "simplest first)" % (len(selected), len(candidates)))
-
-    # -------------------------------------------------- absint pre-filter
-    # between fingerprint pruning and the engine: a candidate whose root
-    # values are abstractly disjoint *and* whose replayed witness
-    # survives the strict interpreter (source defined and poison-free,
-    # values differ) is certainly invalid — drop it before it costs a
-    # solver query.  Only witness-validated refutations drop anything,
-    # so a miss here never loses a sound candidate.
-    if selected:
-        from ..absint.prove import refute_candidate
-
-        kept: List[Candidate] = []
-        dropped = 0
-        for i, cand in enumerate(selected):
-            if deadline.over():
-                kept.extend(selected[i:])
-                break
-            witness = None
-            try:
-                witness = refute_candidate(
-                    _parse(cand, "pre:%04d" % i), config)
-            except ast.AliveError:
-                witness = None
-            if witness is None:
-                kept.append(cand)
-            else:
-                dropped += 1
-        selected = kept
-        report.funnel["absint_refuted"] = dropped
-        if dropped:
-            say("absint pre-filter dropped %d candidate(s) on concrete "
-                "counterexamples (no solver queries spent)" % dropped)
 
     # ------------------------------------------------------------- verify
     named = [("cand:%04d" % i, c) for i, c in enumerate(selected)]

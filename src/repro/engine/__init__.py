@@ -61,16 +61,26 @@ def aggregate_plan(plan: TransformationPlan,
     Shared by :func:`run_batch` and the serving layer: outcomes are fed
     in type-enumeration order so the verdict (and counterexample text)
     is byte-identical to the sequential driver's.
+
+    The result's ``elapsed`` is the sum of the ``elapsed`` times of the
+    jobs fed up to the verdict, i.e. the time the sequential driver
+    would have spent checking them.  A cache hit carries no job time
+    and contributes 0, so a fully cached rule reports 0 s.
     """
     if plan.early is not None:
         return plan.early
     builder = ResultBuilder(plan.transformation.name)
+    elapsed = 0.0
     for job in plan.jobs:  # enumeration order == sequential check order
-        outcome = CheckOutcome.from_dict(outcomes[job.key])
-        terminal = builder.add(outcome)
-        if terminal is not None:
-            return terminal
-    return builder.finish()
+        outcome = outcomes[job.key]
+        elapsed += outcome.get("elapsed", 0.0)
+        result = builder.add(CheckOutcome.from_dict(outcome))
+        if result is not None:
+            break
+    else:
+        result = builder.finish()
+    result.elapsed = elapsed
+    return result
 
 
 def submit_jobs(

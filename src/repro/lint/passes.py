@@ -164,7 +164,11 @@ def check_undefined_pre_names(rules: Sequence[ast.Transformation]
 
 def check_unused_bindings(rules: Sequence[ast.Transformation]
                           ) -> List[Finding]:
-    """Abstract constants matched by the source but never consulted."""
+    """Abstract constants matched by the source but never consulted.
+
+    A constant the source names twice is consulted by the match itself:
+    both occurrences must bind the same value (``shl %x, C`` then
+    ``lshr %a, C``)."""
     findings: List[Finding] = []
     for t in rules:
         used: Set[str] = set()
@@ -176,6 +180,13 @@ def check_unused_bindings(rules: Sequence[ast.Transformation]
             name = getattr(v, "name", None)
             if name is not None:
                 used.add(name)
+        seen: Set[str] = set()
+        for v in t.source_values():
+            for op in v.operands():
+                if isinstance(op, ast.ConstantSymbol):
+                    if op.name in seen:
+                        used.add(op.name)
+                    seen.add(op.name)
         for v in t.source_values():
             if not isinstance(v, ast.ConstantSymbol):
                 continue

@@ -3,8 +3,8 @@
 The full obligation suite (exhaustive width 4 plus solver-backed width
 8) runs in CI's ``absint-soundness`` job; here we keep the exhaustive
 width-3 sweep — every transfer function, every icmp condition, select,
-conversions, constexprs and the backward demanded-bits masks — inside
-the default test run so a transfer regression cannot land silently.
+conversions and constexprs — inside the default test run so a transfer
+regression cannot land silently.
 """
 
 from repro.absint.selfcheck import run_selfcheck

@@ -61,33 +61,6 @@ class TestDeterminism:
         assert not re.search(r"\d{2}:\d{2}:\d{2}", baseline.opt_text)
 
 
-class TestAbsintPrefilter:
-    def test_funnel_reports_prefilter(self, baseline):
-        # the row is always present, even when the fingerprint stage
-        # already weeded out every refutable pair
-        assert "absint_refuted" in baseline.funnel
-
-    def test_disabling_the_tier_changes_nothing(self, baseline,
-                                                monkeypatch):
-        # only witness-validated refutations drop candidates, and those
-        # would have been refuted by the engine anyway: the emitted
-        # rule set is identical when the pre-filter refutes nothing
-        import repro.absint.prove
-
-        monkeypatch.setattr(repro.absint.prove, "refute_candidate",
-                            lambda t, config: None)
-        off = run_discovery(_options(), CFG)
-
-        def rules_only(text):
-            # the provenance comment embeds the funnel, which
-            # legitimately differs (the pre-filter count)
-            return [l for l in text.splitlines()
-                    if not l.startswith(";")]
-
-        assert rules_only(off.opt_text) == rules_only(baseline.opt_text)
-        assert off.funnel["absint_refuted"] == 0
-
-
 class TestEmission:
     def test_emits_rules(self, baseline):
         assert baseline.rules

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import Config, verify
-from repro.engine import EngineStats, ResultCache, Scheduler, run_batch
+from repro.engine import (
+    EngineStats, ResultCache, Scheduler, aggregate_plan, run_batch,
+)
 from repro.engine import scheduler as scheduler_mod
 from repro.engine.jobs import plan_transformation
 from repro.ir import parse_transformation
@@ -60,6 +62,39 @@ class TestEquivalence:
             "%a = add %x, 1\n%r = add %x, 2\n=>\n%r = %x\n", "scoped")
         results = run_batch([scope_error], CONFIG)
         assert results[0].status == "unsupported"
+
+
+class TestAggregateElapsed:
+    """A result reports the time its jobs took, not its aggregation's."""
+
+    def _plan(self, text):
+        plan = plan_transformation(parse_transformation(text, "t"),
+                                   CONFIG, "fp")
+        assert len(plan.jobs) == 2
+        return plan
+
+    def test_sums_job_times_and_cache_hits_add_nothing(self):
+        plan = self._plan(GOOD)
+        first, second = (job.key for job in plan.jobs)
+        outcomes = {first: {"status": "valid", "queries": 1,
+                            "elapsed": 0.25},
+                    second: {"status": "valid", "queries": 1}}  # cached
+        result = aggregate_plan(plan, outcomes)
+        assert result.status == "valid"
+        assert result.elapsed == 0.25
+
+    def test_jobs_after_the_verdict_are_not_counted(self):
+        plan = self._plan(BAD)
+        first, second = (job.key for job in plan.jobs)
+        outcomes = {first: {"status": "unknown", "queries": 1,
+                            "elapsed": 0.5},
+                    second: {"status": "unsupported", "detail": "x",
+                             "elapsed": 0.25}}
+        result = aggregate_plan(plan, outcomes)
+        assert result.status == "unsupported"
+        assert result.elapsed == 0.75
+        outcomes[first]["status"] = "unsupported"
+        assert aggregate_plan(plan, outcomes).elapsed == 0.5
 
 
 class TestWarmCache:

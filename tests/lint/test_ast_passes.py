@@ -94,13 +94,22 @@ Pre: hasOneUse(%q)
 class TestUnusedBinding:
     def test_constant_never_consulted(self):
         findings = lint("""Name: wasteful
-%s = shl %x, C
-%r = lshr %s, C
+%a = and %x, C
+%r = and %a, 0
 =>
-%r = %x
+%r = 0
 """, only=["unused-binding"])
         assert [f.data["name"] for f in findings] == ["C"]
         assert findings[0].severity == "info"
+
+    def test_repeated_source_constant_is_used(self):
+        # the second C constrains the match: both shifts use one amount
+        assert lint("""Name: cancel
+%s = shl nuw %x, C
+%r = lshr %s, C
+=>
+%r = %x
+""", only=["unused-binding"]) == []
 
     def test_constant_kept_alive_by_target_reference(self):
         # the target keeps %s, so C is still part of the output program

@@ -100,7 +100,7 @@ class TestBadRequests:
         harness = make_server()
         with harness.client() as client:
             for knob, value in (("warp_factor", 9), ("incremental", False),
-                                ("absint", False)):
+                                ("absint", False), ("brute_max_bits", 22)):
                 response = client.submit(GOOD, knobs={knob: value})
                 assert response["error"] == "bad_request"
                 assert knob in response["detail"]

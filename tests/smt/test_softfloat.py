@@ -126,21 +126,17 @@ class TestConversionsAgainstFpops:
 
 
 class TestBruteBudgetAdmitsHalf:
-    """Config.brute_max_bits: the exhaustive oracle covers half rules."""
+    """A 22-bit brute budget: the exhaustive oracle covers half rules."""
 
     def test_half_domain_within_default_budget(self):
-        from repro.core import Config
         from repro.smt.brute import brute_check_sat
 
-        cfg = Config()
-        assert cfg.brute_max_bits >= 16
-        assert "brute_max_bits" in cfg.to_dict()  # part of cache keys
         # a genuinely FP-flavoured property, decided exhaustively over
         # all 2^16 half patterns: x * 1.0 == x (up to NaN payloads)
         prod = SF.fbinop("fmul", HALF, _X, SF.fp_const(HALF, 1.0))
         differs = T.and_(T.not_(T.eq(prod, _X)),
                          T.not_(SF.is_nan(HALF, _X)))
-        status, _ = brute_check_sat(differs, max_bits=cfg.brute_max_bits)
+        status, _ = brute_check_sat(differs, max_bits=22)
         assert status == "unsat"
 
     def test_budget_is_enforced(self):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -17,6 +18,16 @@ BAD = """Name: bad
 %r = add %x, 1
 =>
 %r = add %x, 2
+"""
+
+#: takes a visible fraction of a second at --max-width 4
+DISTRIBUTE = """Name: distribute
+%a = mul %x, %y
+%b = mul %x, %z
+%r = add %a, %b
+=>
+%s = add %y, %z
+%r = mul %x, %s
 """
 
 FLAGGED = """Name: flagged
@@ -153,6 +164,15 @@ class TestVerifyBatchCommand:
         # every refinement check replayed from the persistent cache
         assert _stat(warm, "jobs executed") == 0
         assert _stat(warm, "cache hits") == _stat(cold, "jobs executed") > 0
+
+    def test_reports_the_time_its_jobs_took(self, opt_file, capsys):
+        rc = main(["verify-batch", "--max-width", "4", "--no-cache",
+                   opt_file(DISTRIBUTE)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        seconds = re.search(r"distribute: valid \(.*queries, ([0-9.]+)s\)",
+                            out).group(1)
+        assert float(seconds) > 0
 
     def test_no_input_is_an_error(self, capsys):
         rc = main(["verify-batch"])

@@ -1,12 +1,12 @@
 """Incremental solving: assumption-based re-solving vs fresh solvers.
 
 Each CEGIS round of the verifier re-solves one growing clause database
-under a new activation literal.  This benchmark measures that effect
-in isolation — assumption-based re-solving against from-scratch
-solving on the same random CNF stream — and emits
-``BENCH_incremental.json``.  The per-assignment session's own payoff
-(work counts with one session per type assignment vs a fresh solver
-per query) is recorded in DESIGN.md, "Incremental solving".
+under an activation literal, in the one solver session the loop keeps.
+This benchmark measures that effect in isolation — assumption-based
+re-solving against from-scratch solving on the same random CNF stream
+— and emits ``BENCH_incremental.json``.  Every other verifier query is
+independent and gets a fresh solver; DESIGN.md, "Incremental solving",
+records why.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from ..ir import ast
 from ..smt import softfloat as SF
 from ..smt import terms as T
 from ..smt.sat import UNKNOWN
-from ..smt.solver import IncrementalSession, solve_exists_forall
+from ..smt.solver import solve_exists_forall
 from ..typing.types import FloatType
 from .config import Config
 from .counterexample import (
@@ -160,19 +160,17 @@ def check_assignment(
 ) -> CheckOutcome:
     """Run the refinement checks for one concrete type assignment.
 
-    The 3×k refinement queries of this assignment (and their CEGIS
-    rounds) share one :class:`IncrementalSession`, built here and
-    dropped on return: the hypothesis ψ and the template encodings
-    bit-blast once, later queries add only their goal, and learned
-    clauses carry over.  No solver state outlives the call, so the
-    outcome is a function of (t, types, config) alone.
+    Each of the 3×k refinement queries is an independent
+    :func:`solve_exists_forall` call with its own solver: a one-shot
+    query, or a CEGIS loop with its own session when the source has
+    ``undef``.  No solver state outlives a query, so the outcome is a
+    function of (t, types, config) alone.
     """
     deadline = (
         time.monotonic() + config.time_limit
         if config.time_limit is not None
         else None
     )
-    session = IncrementalSession()
 
     def expired() -> bool:
         return deadline is not None and time.monotonic() >= deadline
@@ -252,8 +250,7 @@ def check_assignment(
             queries += 1
             result = solve_exists_forall(
                 outer, inner, query, conflict_limit=config.conflict_limit,
-                deadline=deadline, session=session,
-            )
+                deadline=deadline)
             if result.status == UNKNOWN:
                 return CheckOutcome("unknown", kind=kind, queries=queries,
                                     timed_out=expired())
@@ -276,7 +273,6 @@ def check_assignment(
             mem_query,
             conflict_limit=config.conflict_limit,
             deadline=deadline,
-            session=session,
         )
         if result.status == UNKNOWN:
             return CheckOutcome("unknown", kind=KIND_MEMORY, queries=queries,

@@ -56,8 +56,8 @@ _HARD_TIMEOUT_FLOOR = 30.0
 # Resident worker state.  A long-lived worker process keeps the most
 # recently dispatched rules, parsed/typechecked/enumerated once per
 # rule instead of once per job.  Solver state is never resident:
-# check_assignment builds one incremental session per type assignment
-# and drops it on return, so a job's outcome is a function of its
+# every refinement query gets its own solver (a CEGIS loop its own
+# session, dropped on return), so a job's outcome is a function of its
 # payload alone, never of worker history — that is what makes the
 # content-addressed cache and warm/cold worker parity sound.  What
 # stays warm across jobs is the rule plan cache, the hash-consed term

@@ -65,8 +65,9 @@ PASSES = {
         "semantic", "declared nsw/nuw/exact attributes differ from the "
         "inferred weakest-source / strongest-target placement"),
     "rewrite-cycle": (
-        "semantic", "driving the rule set to fixpoint from this rule's "
-        "instances does not converge"),
+        "semantic", "this rule keeps firing in a rewrite cycle: driving "
+        "the rule set to fixpoint from some rule's instances does not "
+        "converge"),
     "provable-by-absint": (
         "semantic", "the rule's refinement obligation is discharged by "
         "the verified abstract-interpretation tier alone at every "

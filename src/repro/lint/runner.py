@@ -406,23 +406,33 @@ def _subsume_findings(general: ast.Transformation,
 
 def _cycle_findings(rules: Sequence[ast.Transformation], data: dict,
                     options: LintOptions) -> List[Finding]:
+    """One error per rule that keeps firing in a cycle.
+
+    The rule whose instance seeds a cycle need not take part in it, so
+    each cycle is charged to its spinning rules, once per rule.  A
+    rule's own seed describes its cycle best, so those entries go
+    first."""
     by_name: Dict[str, ast.Transformation] = {}
     for t in rules:
         by_name.setdefault(t.name, t)
+    entries = sorted(data.get("cycles", []),
+                     key=lambda e: e["opt"] not in e["rules"])
     findings: List[Finding] = []
-    for entry in data.get("cycles", []):
-        t = by_name.get(entry.get("opt", ""))
-        path, line, col = _span(t) if t is not None else (None, None, None)
-        body = normalized_text(t) if t is not None else entry.get("opt", "")
-        findings.append(Finding(
-            finding_id("rewrite-cycle", body,
-                       ",".join(entry.get("rules", []))),
-            "rewrite-cycle", SEV_ERROR,
-            entry.get("opt", "<unknown>"),
-            entry.get("describe", "rewrite cycle detected"),
-            path=path, line=line, col=col,
-            data={"rules": entry.get("rules", []),
-                  "consts": entry.get("consts", {}),
-                  "fired": entry.get("fired", 0)},
-        ))
+    charged = set()
+    for entry in entries:
+        spinning = entry["rules"]
+        for name in spinning:
+            t = by_name.get(name)
+            if t is None or name in charged:
+                continue
+            charged.add(name)
+            path, line, col = _span(t)
+            findings.append(Finding(
+                finding_id("rewrite-cycle", normalized_text(t),
+                           ",".join(spinning)),
+                "rewrite-cycle", SEV_ERROR, name, entry["describe"],
+                path=path, line=line, col=col,
+                data={"rules": spinning, "consts": entry["consts"],
+                      "fired": entry["fired"]},
+            ))
     return findings

@@ -8,7 +8,7 @@ keep the encoding linear in the circuit size.
 The gates are structurally hashed, as in an and-inverter graph: each
 builder keeps one dict from a normalized gate key to the gate's output
 literal, so a gate built twice over the same inputs - from two terms,
-two halves of a refinement query or two queries of one session - gets
+two halves of a refinement query or two rounds of one CEGIS loop - gets
 one variable and one set of definition clauses.  The keys are:
 
 * ``and``: the inputs after constant folding, sorted and deduplicated

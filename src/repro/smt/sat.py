@@ -16,9 +16,10 @@ may be called repeatedly, clauses and variables may be added between
 calls (:meth:`add_clause`, :meth:`new_var`), and each call may carry a
 list of *assumption literals* that hold for that call only.  The
 learned-clause database, variable activities, saved phases and watch
-lists survive across calls, which is what makes families of
-near-identical queries (per-type-assignment refinement checks,
-CEGIS rounds) cheaper than solving each from scratch.
+lists survive across calls, which is what makes the rounds of a CEGIS
+loop (each re-solves the last round's formula plus one instantiation)
+cheaper than solving each from scratch.  Every other query gets a
+fresh solver and one assumption-free :meth:`SatSolver.solve`.
 When a query is unsatisfiable *because of its assumptions*, the subset
 of assumptions the proof used is available as
 :attr:`SatSolver.failed_assumptions` (the assumption-level analogue of
@@ -379,27 +380,6 @@ class SatSolver:
     # VSIDS
     # ------------------------------------------------------------------
 
-    def scrub_heuristics(self) -> None:
-        """Reset VSIDS activities, saved phases and the decision heap to
-        their fresh-solver values, keeping the clause database.
-
-        An incremental session poses *independent* queries against one
-        accumulated database; activity and phase state tuned by an
-        earlier query's search actively misleads the next one (measured
-        ~10x conflict blowups on counterexample searches over the alive
-        bug corpus).  Learned clauses are assumption-free consequences
-        of the formula, so they stay.
-        """
-        n = self.num_vars
-        self.activity = [0.0] * (n + 1)
-        self.phase = [0] * (n + 1)
-        self.var_inc = 1.0
-        self.cla_inc = 1.0
-        # all activities equal: ascending index order is a valid heap
-        lval = self.lval
-        self._heap = [v for v in range(1, n + 1) if lval[v] < 0]
-        self._index_heap()
-
     def _index_heap(self) -> None:
         """Rebuild the position array from the heap, in place (callers
         may hold a reference to it)."""
@@ -491,8 +471,8 @@ class SatSolver:
     def _analyze(self, conflict: Clause):
         """First-UIP learning; returns (learned_lits, backtrack_level)."""
         learnt: List[int] = [0]  # slot 0 becomes the asserting literal
-        # a set, not a num_vars-sized array: in an incremental session
-        # num_vars accumulates across queries and a per-conflict O(vars)
+        # a set, not a num_vars-sized array: in a CEGIS session
+        # num_vars accumulates across rounds and a per-conflict O(vars)
         # allocation would tax every conflict with the session's size
         seen = set()
         counter = 0
@@ -610,12 +590,10 @@ class SatSolver:
 
         Runs between queries, at decision level 0 with propagation
         complete, once new root facts have arrived since the last sweep.
-        Clauses satisfied at the root are detached from the watch lists
-        and dropped — in an incremental session these are typically the
-        guard clauses of retired activation literals, which would
-        otherwise pollute the watch lists of every shared variable for
-        the rest of the session — and root-false literals are stripped
-        from the tail of surviving clauses, in place.  Sound because
+        Clauses satisfied at the root (by units learned in an earlier
+        call) are detached from the watch lists and dropped, and
+        root-false literals are stripped from the tail of surviving
+        clauses, in place.  Sound because
         root assignments are never undone; it changes only the order in
         which watchers are visited, never a verdict.
         """
@@ -723,8 +701,8 @@ class SatSolver:
             self.ok = False
             return UNSAT
         if self.solves > 1 and len(self.trail) > self._simplified_at:
-            # new root facts since the last call (e.g. retired
-            # activation literals): sweep the database before searching
+            # new root facts since the last call (learned units):
+            # sweep the database before searching
             self._simplify()
 
         assumptions = list(assumptions)

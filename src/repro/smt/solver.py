@@ -71,52 +71,33 @@ class Result:
 
 
 class IncrementalSession:
-    """A long-lived (bit-blaster, CDCL solver) pair for query families.
+    """A (bit-blaster, CDCL solver) pair for one CEGIS loop.
 
-    The Alive workload is thousands of *nearly identical* queries: the
-    three refinement checks of one instruction share their entire
-    hypothesis ψ, the checks of different instructions share the
-    template encodings, and every CEGIS round extends the previous
-    round's formula by one instantiation.  A fresh solver per query
-    re-bit-blasts and re-learns all of that from scratch.
+    The refinement conditions of paper §3.1.2 are independent queries,
+    and each is decided by one fresh :func:`check_sat`.  The one family
+    of queries that pays for a long-lived solver is the ∃∀ CEGIS loop
+    for source ``undef`` (:func:`solve_exists_forall`): every synthesis
+    round re-solves the previous round's formula plus one more
+    instantiation.  The loop builds one session, feeds it the growing
+    conjunction and its counterexample queries, and drops it on return.
 
-    A session instead keeps one :class:`BitBlaster` (whose term→literal
-    memo makes the shared prefix of each new query free — hash-consed
-    terms compile once, and the builder's gate cache shares identical
-    gates built from different terms) feeding one incremental
+    The session keeps one :class:`BitBlaster` (whose term→literal memo
+    makes the shared part of each new query free — hash-consed terms
+    compile once, and the builder's gate cache shares identical gates
+    built from different terms) feeding one incremental
     :class:`SatSolver` (whose learned clauses, activities and phases
     carry over).  Queries are posed as *assumptions*: the Tseitin root
     literal of a formula is assumed rather than asserted, so it
     constrains exactly one :meth:`check` call.  Gate definition clauses
-    are always satisfiable on their own, so retired queries leave no
+    are always satisfiable on their own, so a past query leaves no
     semantic residue — only reusable structure.
-
-    One session serves exactly one type assignment
-    (:func:`repro.core.refinement.check_assignment` builds it and drops
-    it on return), so every query it sees shares one sort universe.
     """
-
-    #: formulas whose :func:`repro.smt.terms.encoding_weight` exceeds
-    #: this are solved one-shot instead of in-session.  A query
-    #: dominated by a unique cone gains little from the shared prefix,
-    #: but as an *assumption* its (huge) implication cone is
-    #: re-propagated after every backtrack past the assumption level —
-    #: far more work than the one-shot path's single root propagation.
-    #: Small and repetitive queries (refinement checks, CEGIS rounds)
-    #: stay in-session.  On the alive corpus the two populations are
-    #: separated by more than an order of magnitude.
-    ONE_SHOT_WEIGHT_LIMIT = 1000
 
     def __init__(self):
         self.builder = CnfBuilder()
         self.blaster = BitBlaster(self.builder)
         self.solver = SatSolver(self.builder.num_vars)
         self._fed = 0
-        self.checks = 0
-        #: activation guards issued minus retired; while positive, a
-        #: CEGIS loop is live and heuristic state carries over between
-        #: calls (the synthesis stream re-solves one growing formula)
-        self._live_acts = 0
 
     def reset(self) -> None:
         """Drop all solver and encoding state."""
@@ -124,7 +105,6 @@ class IncrementalSession:
         self.blaster = BitBlaster(self.builder)
         self.solver = SatSolver(self.builder.num_vars)
         self._fed = 0
-        self._live_acts = 0
 
     def _sync(self) -> None:
         """Ship clauses added to the builder since the last solve."""
@@ -137,18 +117,12 @@ class IncrementalSession:
 
     def new_assumption(self) -> int:
         """A fresh activation literal for :meth:`add_implied` guards."""
-        self._live_acts += 1
         return self.builder.new_var()
 
     def add_implied(self, act: int, formula: Term) -> None:
         """Assert ``act → formula``: active only while *act* is assumed."""
         lit = self.blaster.lit(formula)
         self.builder.add_clause([-act, lit])
-
-    def retire(self, act: int) -> None:
-        """Permanently deactivate *act*'s guarded constraints."""
-        self._live_acts -= 1
-        self.builder.add_clause([-act])
 
     # -- solving -------------------------------------------------------
 
@@ -169,22 +143,8 @@ class IncrementalSession:
                 return Result(SAT, {})
             if formula.is_false():
                 return Result(UNSAT)
-            limit = self.ONE_SHOT_WEIGHT_LIMIT
-            if not assumptions and \
-                    T.encoding_weight(formula, limit) > limit:
-                # dominant unique cone: route around the session (the
-                # session builder never sees the formula, so it does not
-                # pollute later queries' watch lists either)
-                return check_sat(formula, conflict_limit=conflict_limit,
-                                 deadline=deadline)
             assumptions.insert(0, self.blaster.lit(formula))
         self._sync()
-        if formula is not None and self.checks > 0 and not self._live_acts:
-            # independent query against the accumulated database: the
-            # previous query's activity/phase state would mislead this
-            # search (learned clauses stay — they are sound consequences)
-            self.solver.scrub_heuristics()
-        self.checks += 1
         solver = self.solver
         before = _counters(solver)
         status = solver.solve(assumptions=assumptions,
@@ -201,7 +161,7 @@ def _result(status: str, blaster: BitBlaster, solver: SatSolver,
             before: Tuple[int, int, int]) -> Result:
     """Wrap one :meth:`SatSolver.solve` call's answer.  ``stats`` are
     this call's counts (the solver's totals minus *before*), not the
-    totals of a session's long-lived solver."""
+    totals of a CEGIS session's long-lived solver."""
     stats = {name: now - then for name, now, then in
              zip(("conflicts", "decisions", "propagations"),
                  _counters(solver), before)}
@@ -211,26 +171,18 @@ def _result(status: str, blaster: BitBlaster, solver: SatSolver,
 
 
 def check_sat(formula: Term, conflict_limit: Optional[int] = None,
-              deadline: Optional[float] = None,
-              session: Optional[IncrementalSession] = None) -> Result:
-    """Decide a quantifier-free formula by bit-blasting + CDCL.
+              deadline: Optional[float] = None) -> Result:
+    """Decide a quantifier-free formula by bit-blasting + CDCL, with a
+    fresh :class:`BitBlaster` and :class:`SatSolver` per call.
 
     ``deadline`` is a ``time.monotonic()`` timestamp after which the
     search gives up and reports "unknown" (wall-clock budget, in
     addition to the deterministic conflict budget).
 
-    With a *session*, the query is posed incrementally: shared subterms
-    reuse the session's existing encoding and the CDCL state carries
-    over (the session's model may mention variables from earlier
-    queries).  Without one, a fresh solver is built per call.
-
     Variables not mentioned in the formula after simplification do not
     appear in the returned model; callers needing totals should use
     :func:`complete_model`.
     """
-    if session is not None:
-        return session.check(formula, conflict_limit=conflict_limit,
-                             deadline=deadline)
     if formula.is_true():
         return Result(SAT, {})
     if formula.is_false():
@@ -268,7 +220,6 @@ def solve_exists_forall(
     max_rounds: int = 10_000,
     expansion_limit: int = 256,
     deadline: Optional[float] = None,
-    session: Optional[IncrementalSession] = None,
 ) -> Result:
     """Decide ``∃ outer ∀ inner : phi``.
 
@@ -277,13 +228,12 @@ def solve_exists_forall(
     conjunction ``∧_u phi[inner := u]`` — which avoids the CEGIS worst
     case of walking the outer space one counterexample at a time (an
     8-bit undef variable would otherwise cost up to 256 solver rounds).
-    Larger domains fall back to the CEGIS loop.
-
-    With a *session*, every quantifier-free query runs incrementally in
-    it, and the CEGIS loop becomes assumption-based: instantiations
-    accumulate as activation-guarded clauses instead of re-encoding the
-    growing conjunction from scratch each round; the guard is retired
-    when the call returns, so nothing leaks into later queries.
+    Larger domains fall back to the CEGIS loop, which builds one
+    :class:`IncrementalSession` for its rounds and drops it on return:
+    instantiations accumulate as clauses guarded by one activation
+    literal, so each synthesis round re-solves the growing conjunction
+    without re-encoding it, and the counterexample queries run in the
+    same session.  Every other query is one fresh :func:`check_sat`.
 
     Returns a Result whose model (when sat) assigns the *outer* variables.
     ``inner_vars`` must be disjoint from ``outer_vars``; variables of
@@ -291,7 +241,7 @@ def solve_exists_forall(
     """
     if not inner_vars:
         return check_sat(phi, conflict_limit=conflict_limit,
-                         deadline=deadline, session=session)
+                         deadline=deadline)
     if phi.is_false():
         return Result(UNSAT)
 
@@ -300,7 +250,7 @@ def solve_exists_forall(
     inner_vars = [v for v in dict.fromkeys(inner_vars) if v in free]
     if not inner_vars:
         return check_sat(phi, conflict_limit=conflict_limit,
-                         deadline=deadline, session=session)
+                         deadline=deadline)
 
     from .brute import domain_size
 
@@ -312,74 +262,53 @@ def solve_exists_forall(
             ]
         )
         return check_sat(expanded, conflict_limit=conflict_limit,
-                         deadline=deadline, session=session)
-
-    inner_set = set(inner_vars)
-    rounds = 0
-    # seed with one instantiation: all-zero inner assignment
-    seed = {v: _zero_of(v) for v in inner_vars}
-    act = None
-    synth_constraint = T.TRUE
-    if session is not None:
-        act = session.new_assumption()
-        session.add_implied(act, T.substitute(phi, seed))
-    else:
-        synth_constraint = T.and_(synth_constraint,
-                                  T.substitute(phi, seed))
+                         deadline=deadline)
 
     import time as _time
 
-    try:
-        while True:
-            rounds += 1
-            if rounds > max_rounds:
-                raise SolverError(
-                    "CEGIS did not converge in %d rounds" % max_rounds)
-            if deadline is not None and _time.monotonic() >= deadline:
-                return Result(UNKNOWN)
-            if session is not None:
-                cand = session.check(None, [act],
-                                     conflict_limit=conflict_limit,
-                                     deadline=deadline)
-            else:
-                cand = check_sat(synth_constraint,
-                                 conflict_limit=conflict_limit,
-                                 deadline=deadline)
-            if cand.status == UNKNOWN:
-                return Result(UNKNOWN)
-            if cand.is_unsat():
-                return Result(UNSAT, stats={"cegis_rounds": rounds})
-            # candidate assignment for the outer variables (default
-            # missing to 0)
-            outer_model = {}
-            for v in T.free_vars(phi):
-                if v not in inner_set:
-                    outer_model[v] = cand.model.get(v, 0)
-            for v in outer_vars:
-                outer_model.setdefault(v, cand.model.get(v, 0))
-            # verify: ∀ inner phi[outer := candidate] ?
-            grounded = T.substitute(
-                phi, {v: _const_of(v, val) for v, val in outer_model.items()}
-            )
-            cex = check_sat(T.not_(grounded), conflict_limit=conflict_limit,
-                            deadline=deadline, session=session)
-            if cex.status == UNKNOWN:
-                return Result(UNKNOWN)
-            if cex.is_unsat():
-                return Result(SAT, outer_model,
-                              stats={"cegis_rounds": rounds})
-            # block: add the instantiation phi[inner := cex values]
-            inst = {
-                v: _const_of(v, cex.model.get(v, 0)) for v in inner_vars
-            }
-            if session is not None:
-                session.add_implied(act, T.substitute(phi, inst))
-            else:
-                synth_constraint = T.and_(synth_constraint,
-                                          T.substitute(phi, inst))
-    finally:
-        if act is not None:
-            session.retire(act)
+    inner_set = set(inner_vars)
+    session = IncrementalSession()
+    # seed with one instantiation: all-zero inner assignment
+    act = session.new_assumption()
+    session.add_implied(act, T.substitute(
+        phi, {v: _zero_of(v) for v in inner_vars}))
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > max_rounds:
+            raise SolverError(
+                "CEGIS did not converge in %d rounds" % max_rounds)
+        if deadline is not None and _time.monotonic() >= deadline:
+            return Result(UNKNOWN)
+        cand = session.check(None, [act], conflict_limit=conflict_limit,
+                             deadline=deadline)
+        if cand.status == UNKNOWN:
+            return Result(UNKNOWN)
+        if cand.is_unsat():
+            return Result(UNSAT, stats={"cegis_rounds": rounds})
+        # candidate assignment for the outer variables (default
+        # missing to 0)
+        outer_model = {}
+        for v in T.free_vars(phi):
+            if v not in inner_set:
+                outer_model[v] = cand.model.get(v, 0)
+        for v in outer_vars:
+            outer_model.setdefault(v, cand.model.get(v, 0))
+        # verify: ∀ inner phi[outer := candidate] ?
+        grounded = T.substitute(
+            phi, {v: _const_of(v, val) for v, val in outer_model.items()}
+        )
+        cex = session.check(T.not_(grounded), conflict_limit=conflict_limit,
+                            deadline=deadline)
+        if cex.status == UNKNOWN:
+            return Result(UNKNOWN)
+        if cex.is_unsat():
+            return Result(SAT, outer_model, stats={"cegis_rounds": rounds})
+        # block: add the instantiation phi[inner := cex values]
+        inst = {
+            v: _const_of(v, cex.model.get(v, 0)) for v in inner_vars
+        }
+        session.add_implied(act, T.substitute(phi, inst))
 
 
 def _inner_combos(inner_vars: Sequence[Term]):

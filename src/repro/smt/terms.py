@@ -829,40 +829,6 @@ def dag_size(term: Term, limit: Optional[int] = None) -> int:
     return len(seen)
 
 
-#: operations whose bit-blasting is quadratic in the operand width
-_WIDE_OPS = frozenset(
-    (OP_BVMUL, OP_BVUDIV, OP_BVSDIV, OP_BVUREM, OP_BVSREM)
-)
-
-
-def encoding_weight(term: Term, limit: Optional[int] = None) -> int:
-    """A cheap monotone estimate of *term*'s bit-blasted CNF mass.
-
-    Sums, over the distinct nodes of the DAG, the node's bit width
-    (squared for the multiplier/divider family, whose circuits are
-    quadratic in the width).  Used to predict — before paying for the
-    encoding — whether a formula's CNF cone will dwarf an incremental
-    session's shared prefix.  With *limit*, the walk stops as soon as
-    the running total exceeds it.
-    """
-    seen = set()
-    stack = [term]
-    total = 0
-    while stack:
-        t = stack.pop()
-        i = id(t)
-        if i in seen:
-            continue
-        seen.add(i)
-        sort = t.sort
-        w = sort.width if isinstance(sort, BitVecSort) else 1
-        total += w * w if t.op in _WIDE_OPS else w
-        if limit is not None and total > limit:
-            break
-        stack.extend(t.args)
-    return total
-
-
 def substitute(term: Term, mapping: Dict[Term, Term]) -> Term:
     """Simultaneously replace variables (or subterms) per *mapping*.
 

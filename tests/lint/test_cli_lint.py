@@ -31,6 +31,20 @@ Name: pong
 %r = sub %x, -C
 """
 
+#: ``plain`` spins on its own; ``other``'s instance seeds a cycle in
+#: which only ``plain`` fires
+SEEDS_FOREIGN_CYCLE = """Name: plain
+%r = add %x, %y
+=>
+%r = add %y, %x
+
+Name: other
+%t = and %x, 0
+%r = add %t, %y
+=>
+%r = add %y, %t
+"""
+
 FAST = ["--max-width", "4", "--max-types", "4",
         "--cycle-samples", "2", "--cycle-spin-limit", "24"]
 FAST_CYCLES = ["--max-width", "4", "--max-types", "4"]
@@ -116,6 +130,14 @@ class TestLintCommand:
         assert rc == 1
         assert all(f["pass"] == "rewrite-cycle" for f in data["findings"])
         assert data["findings"]
+
+    def test_cycle_charged_to_spinning_rules_only(self, opt_file, capsys):
+        rc = main(["lint", "--only", "rewrite-cycle", "--no-cache",
+                   "--json", opt_file(SEEDS_FOREIGN_CYCLE)])
+        data = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert [(f["rule"], f["severity"], f["data"]["rules"])
+                for f in data["findings"]] == [("plain", "error", ["plain"])]
 
     def test_missing_file_is_clean_error(self, capsys):
         rc = main(["lint", "/nonexistent/rules.opt"])

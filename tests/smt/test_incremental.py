@@ -175,33 +175,48 @@ class TestSessionQueries:
                 assert model_evaluates(formula, inc.model)
 
     def test_retired_queries_leave_no_residue(self):
-        """Assuming and retiring a contradiction must not constrain
-        later queries (Tseitin definitions are always satisfiable)."""
+        """A contradiction guarded by an activation literal must not
+        constrain later queries that do not assume it (Tseitin
+        definitions are always satisfiable)."""
         x = T.bv_var("x", 4)
         session = IncrementalSession()
         act = session.new_assumption()
         session.add_implied(act, T.eq(x, T.bv_const(3, 4)))
         session.add_implied(act, T.eq(x, T.bv_const(5, 4)))
         assert session.check(None, [act]).status == UNSAT
-        session.retire(act)
         res = session.check(T.eq(x, T.bv_const(5, 4)))
         assert res.status == SAT
         assert res.model[x] == 5
 
-    def test_exists_forall_with_session_matches_without(self):
-        x = T.bv_var("x", 8)
-        u = T.bv_var("u", 8)
-        u2 = T.bv_var("u2", 8)
-        # force the CEGIS path: inner domain 2^16 > expansion limit
-        phi = T.eq(T.bvand(x, T.bvor(u, u2)), T.bvand(x, T.bvor(u2, u)))
-        session = IncrementalSession()
-        with_s = solve_exists_forall([x], [u, u2], phi, session=session)
-        without = solve_exists_forall([x], [u, u2], phi)
-        assert with_s.status == without.status == SAT
+    def test_exists_forall_cegis_matches_brute(self):
+        """The CEGIS loop's session against the brute-force ∃∀ game."""
+        from repro.smt.brute import brute_exists_forall
 
-        phi2 = T.eq(T.bvadd(x, u), T.bvadd(T.bvadd(x, u), T.bv_const(1, 8)))
-        assert solve_exists_forall([x], [u], phi2, session=session).status \
-            == solve_exists_forall([x], [u], phi2).status == UNSAT
+        x = T.bv_var("x", 4)
+        u = T.bv_var("u", 4)
+        u2 = T.bv_var("u2", 4)
+        cases = [
+            # an identity: every x is a witness
+            (T.eq(T.bvxor(T.bvand(x, u), T.bvand(x, u2)),
+                  T.bvand(x, T.bvxor(u, u2))), 1),
+            # no x survives every u2
+            (T.eq(T.bvmul(x, u), T.bvadd(x, u2)), 1),
+            # only x = 8 is a witness, and the all-zero seed admits
+            # every x: the loop needs counterexample rounds
+            (T.eq(T.bvand(x, T.bvxor(u, u2)),
+                  T.bvand(T.bvxor(u, u2), T.bv_const(8, 4))), 2),
+        ]
+        for phi, min_rounds in cases:
+            # expansion_limit=0 forces the CEGIS path
+            result = solve_exists_forall([x], [u, u2], phi,
+                                         expansion_limit=0)
+            expected, _ = brute_exists_forall([x], [u, u2], phi)
+            assert result.status == expected
+            assert result.stats["cegis_rounds"] >= min_rounds
+            if result.is_sat():
+                witness = T.bv_const(result.model[x], 4)
+                assert brute_exists_forall(
+                    [], [u, u2], T.substitute(phi, {x: witness}))[0] == SAT
 
     def test_reset_session_matches_fresh_session(self):
         """After reset() a session takes the identical search path as a
@@ -240,15 +255,28 @@ class TestSessionQueries:
 
 
 
+def _count_sessions(monkeypatch):
+    """Record every :class:`IncrementalSession` built from here on."""
+    built = []
+    init = IncrementalSession.__init__
+
+    def recording_init(session):
+        built.append(session)
+        init(session)
+
+    monkeypatch.setattr(IncrementalSession, "__init__", recording_init)
+    return built
+
+
 class TestCegisThroughCheckAssignment:
     """check_assignment must reach the assumption-based CEGIS stream.
 
     Two ``i8`` undef operands in the source make the universal domain
     2^16, past ``solve_exists_forall``'s expansion limit, so every
-    refinement query with them runs CEGIS inside the assignment's
-    session.  No benchmark workload has such a rule.  Each query is
-    re-decided by the brute-force ∃∀ game of :mod:`repro.smt.brute`,
-    so the verdict is checked against an independent backend.
+    refinement query with them runs CEGIS in a session of its own.  No
+    benchmark workload has such a rule.  Each query is re-decided by
+    the brute-force ∃∀ game of :mod:`repro.smt.brute`, so the verdict
+    is checked against an independent backend.
     """
 
     RULES = {
@@ -276,35 +304,51 @@ class TestCegisThroughCheckAssignment:
             system, max_width=config.max_width,
             prefer=config.prefer_widths, limit=1)
 
+        sessions = _count_sessions(monkeypatch)
         queries = []
-        guards = []
 
         def recording_solve(outer, inner, phi, **kwargs):
+            before = len(sessions)
             result = solve_exists_forall(outer, inner, phi, **kwargs)
-            queries.append((outer, inner, phi, result))
+            queries.append((outer, inner, phi, result,
+                            sessions[before:]))
             return result
 
-        def recording_new_assumption(session):
-            guards.append(session)
-            return new_assumption(session)
-
-        new_assumption = IncrementalSession.new_assumption
         monkeypatch.setattr(refinement, "solve_exists_forall",
                             recording_solve)
-        monkeypatch.setattr(IncrementalSession, "new_assumption",
-                            recording_new_assumption)
         outcome = refinement.check_assignment(
             t, TypeAssignment(checker, mapping), config)
 
         assert outcome.status == expected
-        assert guards, "no activation-guarded CEGIS stream ran"
-        assert any(r.stats.get("cegis_rounds", 0) > 0
-                   for _, _, _, r in queries)
-        # one session per assignment: every guard lives in the same one
-        assert len(set(map(id, guards))) == 1
-        for outer, inner, phi, result in queries:
+        cegis = [q for q in queries if "cegis_rounds" in q[3].stats]
+        assert cegis, "no activation-guarded CEGIS stream ran"
+        # one session per CEGIS call, none for any other query
+        for _, _, _, result, built in queries:
+            assert len(built) == ("cegis_rounds" in result.stats)
+        assert len(set(map(id, sessions))) == len(cegis)
+        for outer, inner, phi, result, _ in queries:
             brute, _ = brute_exists_forall(outer, inner, phi,
                                            max_assignments=1 << 24)
             assert brute == result.status
         # the checks stop at the first satisfiable (refuting) query
         assert (queries[-1][3].is_sat()) == (expected == "invalid")
+
+
+@pytest.mark.parametrize("text, status", [
+    ("%r = add i8 %x, 0\n=>\n%r = %x\n", "valid"),
+    ("%a = mul i8 %x, %y\n%r = udiv %a, %y\n=>\n%r = %x\n", "invalid"),
+    # a small undef domain is expanded into one query, not a CEGIS loop
+    ("%r = or i4 %x, undef\n=>\n%r = or %x, 1\n", "valid"),
+])
+def test_only_cegis_builds_a_session(text, status, monkeypatch):
+    """Every refinement query outside the CEGIS loop is one fresh
+    ``check_sat``: verifying these rules builds no session."""
+    from repro.core.config import Config
+    from repro.core.verifier import verify
+    from repro.ir import parse_transformation
+
+    sessions = _count_sessions(monkeypatch)
+    t = parse_transformation(text, "rule")
+    result = verify(t, Config(max_width=8, max_type_assignments=2))
+    assert result.status == status
+    assert sessions == []

@@ -228,7 +228,7 @@ class TestSearchIsPinned:
     def test_incremental_stream(self):
         """Assumptions, clauses added between solves, an activation
         literal retired (so the next solve runs a ``_simplify`` sweep),
-        then ``scrub_heuristics`` and variable growth."""
+        then variable growth."""
         rng = random.Random(5)
         n = 60
 
@@ -254,7 +254,6 @@ class TestSearchIsPinned:
         solve([act], n)
         solver.add_clause([-act])
         solve([], n)
-        solver.scrub_heuristics()
         solver.ensure_num_vars(n + 4)
         for _ in range(25):
             solver.add_clause(clause(n + 4))
@@ -263,7 +262,7 @@ class TestSearchIsPinned:
             (SAT, 19, 32, 365, "0xd7f4f28a4637be5", []),
             (UNSAT, 73, 93, 1296, None, [61]),
             (SAT, 96, 132, 1656, "0x9238d2986027ba7", []),
-            (UNSAT, 105, 144, 1827, None, [-4, 5, 62]),
+            (UNSAT, 103, 141, 1754, None, [-4, 5, 62]),
         ]
 
     def test_bitblasted_udiv_chain_w5(self):
@@ -319,12 +318,11 @@ def bump(solver, v):
 
 
 class TestOrderHeap:
-    """Random bump / assign / backtrack / grow / scrub / rescale
+    """Random bump / assign / backtrack / grow / rescale / decay
     sequences keep the heap valid, and a decision is always the
     brute-force argmax of ``(activity, -v)`` over unassigned variables."""
 
-    OPS = ("bump", "assign", "backtrack", "grow", "scrub", "rescale",
-           "decay")
+    OPS = ("bump", "assign", "backtrack", "grow", "rescale", "decay")
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -347,8 +345,6 @@ class TestOrderHeap:
                     st.integers(0, len(solver.trail_lim))))
             elif op == "grow":
                 solver.ensure_num_vars(n + data.draw(st.integers(0, 4)))
-            elif op == "scrub":
-                solver.scrub_heuristics()
             elif op == "rescale" and n:
                 v = data.draw(st.integers(1, n))
                 solver.var_inc = 0.99e100

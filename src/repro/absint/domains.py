@@ -273,12 +273,6 @@ class AbsValue:
         v.empty = True
         return v
 
-    def is_top(self) -> bool:
-        return (not self.empty
-                and self.bits == KnownBits.top(self.width)
-                and self.ur == URange.top(self.width)
-                and self.sr == SRange.top(self.width))
-
     def is_singleton(self) -> bool:
         if self.empty:
             return False

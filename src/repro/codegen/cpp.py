@@ -6,8 +6,7 @@ pattern-matching library, in the exact shape of Figure 7:
 * declarations for the bound values and constants;
 * an if-condition of ``match(...)`` clauses — one per source
   instruction, root first, operands recursively — plus the width
-  guards well-formed IR does not imply and the translated
-  precondition;
+  guards well-formed IR does not imply and the precondition;
 * a body that computes new ``APInt`` constants, creates the target
   instructions, and calls ``replaceAllUsesWith`` on the root.
 
@@ -15,9 +14,12 @@ The source side is printed from the rule's
 :class:`~repro.opt.matcher.MatchProgram` and the body from its
 :class:`~repro.opt.rewriter.TargetProgram`: the same steps that the
 executable analogue, :mod:`repro.opt`, runs in Python, so a rule is
-matched and rewritten by one definition in both.  Every type handle
-(a ``getType()`` or a bit width) is a matched value of the right type
-class, as :meth:`~repro.opt.matcher.MatchProgram.width_of` names it.
+matched and rewritten by one definition in both.  The precondition is
+the match program's decided atoms printed as C++: whether an atom
+tests a constant, asks an analysis or is false is decided there.
+Every type handle (a ``getType()`` or a bit width) is a matched value
+of the right type class, as
+:meth:`~repro.opt.matcher.MatchProgram.width_of` names it.
 The output is textual C++ (there is no LLVM to link against);
 structural fidelity to Figure 7 is covered by the test suite.
 """
@@ -26,19 +28,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..ir import ast
 from ..ir.constexpr import ConstExpr
-from ..ir.precond import (
-    PredAnd,
-    PredCall,
-    PredCmp,
-    PredNot,
-    PredOr,
-    PredTrue,
-    Predicate,
-)
+from ..ir.precond import CMP_TO_ICMP
 from ..opt.matcher import RewriteError, TemplateMatcher, reads
 from ..opt.rewriter import TargetProgram
 
@@ -111,6 +105,23 @@ _APINT_METHOD = {
     "shl": "shl", "lshr": "lshr", "ashr": "ashr",
 }
 
+
+#: a built-in over a constant, on its APInt {0}
+_APINT_TESTS = {
+    "isPowerOf2": "{0}.isPowerOf2()",
+    "isPowerOf2OrZero": "(!{0} || {0}.isPowerOf2())",
+    "isSignBit": "{0}.isSignBit()",
+    "isShiftedMask": "{0}.isShiftedMask()",
+}
+
+#: the LLVM analysis answering a built-in's query on the value {0};
+#: {1} is a mask's APInt
+_QUERIES = {
+    "isPowerOf2": "isKnownToBeAPowerOfTwo({0})",
+    "isPowerOf2OrZero": "isKnownToBeAPowerOfTwo({0}, /*OrZero=*/true)",
+    "hasOneUse": "{0}->hasOneUse()",
+    "MaskedValueIsZero": "MaskedValueIsZero({0}, {1})",
+}
 
 _LITERAL_MATCHERS = {0: "m_Zero()", 1: "m_One()", -1: "m_AllOnes()"}
 
@@ -360,77 +371,48 @@ class CppGenerator:
                 )
         raise CodegenError("cannot emit APInt expression for %r" % (v,))
 
-    _CMP_METHOD = {
-        "==": "eq", "!=": "ne", "<": "slt", "<=": "sle", ">": "sgt",
-        ">=": "sge", "u<": "ult", "u<=": "ule", "u>": "ugt", "u>=": "uge",
-    }
+    def _pre(self, p: tuple) -> str:
+        """The match program's decided precondition *p* as a C++
+        condition, atom by atom (see :meth:`MatchProgram._decide
+        <repro.opt.matcher.MatchProgram._decide>`)."""
+        kind = p[0]
+        if kind == "bool":
+            return "true" if p[1] else "false"
+        if kind == "not":
+            return "!(%s)" % self._pre(p[1])
+        if kind == "and":
+            return " && ".join(self._pre(q) for q in p[1])
+        if kind == "or":
+            return "(%s)" % " || ".join(self._pre(q) for q in p[1])
+        if kind == "if":
+            return "(%s ? %s : %s)" % tuple(self._pre(q) for q in p[1:])
+        if kind == "const":
+            return " && ".join("isa<ConstantInt>(%s)" % self._value(a)
+                               for a in p[1])
+        if kind == "cmp":
+            _, op, a, b = p
+            a, b = self._apint_expr(a), self._apint_expr(b)
+            if op in ("==", "!="):
+                return "%s %s %s" % (a, op, b)
+            return "%s.%s(%s)" % (a, CMP_TO_ICMP[op], b)
+        _, fn, args = p
+        if fn.startswith("WillNotOverflow"):  # precise on constants
+            return "%s(%s, I)" % (fn, ", ".join(map(self._value, args)))
+        if kind == "holds":
+            a = args[0]
+            return _APINT_TESTS[fn].format(
+                "cast<ConstantInt>(%s)->getValue()" % self._value(a)
+                if isinstance(a, ast.Input) else self._apint_expr(a))
+        return _QUERIES[fn].format(self._value(args[0]),
+                                   *map(self._apint_expr, args[1:]))
 
-    def _pred_expr(self, p: Predicate) -> Optional[str]:
-        if isinstance(p, PredTrue):
-            return None
-        if isinstance(p, PredNot):
-            inner = self._pred_expr(p.p)
-            return "!(%s)" % inner if inner else None
-        if isinstance(p, PredAnd):
-            parts = [self._pred_expr(q) for q in p.ps]
-            return " && ".join(x for x in parts if x)
-        if isinstance(p, PredOr):
-            parts = [self._pred_expr(q) for q in p.ps]
-            return "(%s)" % " || ".join(x for x in parts if x)
-        if isinstance(p, PredCmp):
-            a = self._apint_expr(p.a)
-            b = self._apint_expr(p.b)
-            if p.op == "==":
-                return "%s == %s" % (a, b)
-            if p.op == "!=":
-                return "%s != %s" % (a, b)
-            return "%s.%s(%s)" % (a, self._CMP_METHOD[p.op], b)
-        if isinstance(p, PredCall):
-            return self._pred_call(p)
-        raise CodegenError("cannot emit predicate %r" % (p,))
-
-    def _value_expr(self, v: ast.Value) -> str:
-        if isinstance(v, (ast.Input, ast.Instruction)):
-            return _ident(v.name) if v.name != self.t.root else "I"
-        if isinstance(v, ast.ConstantSymbol):
-            return _ident(v.name)
-        raise CodegenError("cannot reference %r in a predicate" % (v,))
-
-    def _pred_call(self, p: PredCall) -> str:
-        fn = p.fn
-        if fn == "isPowerOf2":
-            a = p.args[0]
-            if isinstance(a, ast.ConstantSymbol):
-                return "%s->getValue().isPowerOf2()" % _ident(a.name)
-            return "isKnownToBeAPowerOfTwo(%s)" % self._value_expr(a)
-        if fn == "isPowerOf2OrZero":
-            a = p.args[0]
-            if isinstance(a, ast.ConstantSymbol):
-                v = "%s->getValue()" % _ident(a.name)
-                return "(!%s || %s.isPowerOf2())" % (v, v)
-            return "isKnownToBeAPowerOfTwo(%s, /*OrZero=*/true)" % self._value_expr(a)
-        if fn in ("isSignBit", "isShiftedMask"):
-            # the Python matcher holds these false on a non-constant
-            if not isinstance(p.args[0], ast.ConstantSymbol):
-                raise CodegenError("%s of a non-constant has no C++ form"
-                                   % fn)
-            return "%s->getValue().%s()" % (_ident(p.args[0].name), fn)
-        if fn == "MaskedValueIsZero":
-            return "MaskedValueIsZero(%s, %s)" % (
-                self._value_expr(p.args[0]),
-                self._apint_expr(p.args[1]),
-            )
-        if fn == "hasOneUse":
-            return "%s->hasOneUse()" % self._value_expr(p.args[0])
-        if fn == "isConstant":
-            return "isa<Constant>(%s)" % self._value_expr(p.args[0])
-        if fn.startswith("WillNotOverflow"):
-            return "%s(%s, %s, I)" % (
-                fn,
-                self._value_expr(p.args[0]),
-                self._value_expr(p.args[1]),
-            )
-        raise CodegenError("no C++ emission for predicate %r" % fn)
+    def _value(self, v: ast.Value) -> str:
+        """The C++ value a built-in reads for its argument *v*."""
+        if not isinstance(v, (ast.Input, ast.ConstantSymbol,
+                              ast.Instruction)):
+            raise CodegenError("%s: no C++ value for %s in the "
+                               "precondition" % (self.t.name, v.name))
+        return self._handle(v.name)
 
     # ------------------------------------------------------------------
     # Target side: the target program
@@ -475,9 +457,8 @@ class CppGenerator:
 
     def generate(self) -> str:
         self._print_program()
-        pre = self.program.pre and self._pred_expr(self.program.pre)
-        if pre:
-            self.clauses.append(pre)
+        if self.program.pre is not None:
+            self.clauses.append(self._pre(self.program.pre))
         self._print_target()
 
         lines = ["// %s" % self.t.name, "{"]

@@ -20,7 +20,6 @@ across all type assignments exactly as Figure 6's outer loop does.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ir import ast
@@ -214,10 +213,3 @@ def infer_attributes(
         )
     finally:
         patcher.restore()
-
-
-def infer_all(
-    transformations: Sequence[ast.Transformation],
-    config: Config = DEFAULT_CONFIG,
-) -> List[AttributeInferenceResult]:
-    return [infer_attributes(t, config) for t in transformations]

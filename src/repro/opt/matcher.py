@@ -8,19 +8,21 @@ the precondition, run as one generated Python function.  This lets the
 reproduction run the "LLVM+Alive" experiments of §6.4 without an LLVM
 checkout.
 
-The precondition is compiled with the rest: each atom becomes one
-Python expression over the matched values and ``&&``/``||``/``!``
-become ``and``/``or``/``not``.  An atom's width is that of its type
-class, read off a matched value of the class; a constant expression is
-flat arithmetic over the matched constants, one
+The precondition is compiled with the rest, and decided once: each
+atom becomes a comparison of two constant expressions, a built-in over
+constants, one :class:`~repro.opt.analysis.Analyses` query, a
+built-in on an input that may bind a constant (the constant test, then
+the built-in, else the query or false), or a constant truth value;
+``&&``/``||``/``!`` stay over the atoms.  That tree, ``pre``, is the
+one decision both printers print: here as Python (``and``/``or``/
+``not``) and in :mod:`repro.codegen.cpp` as C++.  An atom's width is
+that of its type class, read off a matched value of the class; a
+constant expression is flat arithmetic over the matched constants, one
 :func:`repro.ir.constexpr.apply_op` call per node; ``width(%x)`` is
 the width of the value bound to ``%x``.  Comparisons and built-ins
-whose arguments are all constants run the one concrete semantics of
+over constants run the one concrete semantics of
 :mod:`repro.ir.precond` (the same that the fuzzer checks against the
-verifier's symbolic conditions); the syntactic built-ins and the
-built-ins over non-constant values make one
-:class:`~repro.opt.analysis.Analyses` query, and are false where no
-analysis answers them.
+verifier's symbolic conditions).
 
 Before any of that, a :class:`Guard` switches on the root and operand
 opcodes: read by :func:`template_guard` from the same per-pattern cases
@@ -66,12 +68,14 @@ class Match:
         return "Match(%s, %d bindings)" % (self.root.name, len(self.bindings))
 
 
-#: the :class:`Analyses` method answering a built-in when an argument
-#: is not a constant; the other built-ins are false on such arguments
+#: the :class:`Analyses` method answering a built-in; the built-ins
+#: not named here are false when an argument is not a constant
 _ANALYSIS_QUERIES = {
     "isPowerOf2": "is_power_of_2",
     "isPowerOf2OrZero": "is_power_of_2",
     "WillNotOverflowSignedAdd": "will_not_overflow_signed_add",
+    "hasOneUse": "has_one_use",
+    "MaskedValueIsZero": "masked_value_is_zero",
 }
 
 
@@ -204,8 +208,8 @@ class MatchProgram:
     operands left to right, a name's later occurrences tested against
     its first; then the annotated widths, one width per type class, the
     class facts and the relations between classes; then ``pre`` (None
-    if trivially true) over ``bindings`` (name -> register), compiled
-    by :meth:`_pred`.  ``source`` is the Python the program prints as,
+    if trivially true) over ``bindings`` (name -> register), the tree
+    of atoms :meth:`_decide` gives.  ``source`` is the Python the program prints as,
     ``run`` its function.  A precondition that reads a name the program
     does not bind raises :class:`RewriteError`.
     """
@@ -215,7 +219,8 @@ class MatchProgram:
         self.bindings: Dict[str, int] = {}
         self._name = t.name
         self._compile(t)
-        self.pre = None if isinstance(t.pre, PredTrue) else t.pre
+        self.pre = None if isinstance(t.pre, PredTrue) \
+            else self._decide(t.pre)
         self._widths = set()  # registers whose width locals are defined
         lines = ["def match(v0, analyses):"]
         for step in self.steps:
@@ -418,84 +423,120 @@ class MatchProgram:
                 self._const(a, width, bound) for a in e.args), w)
         raise self._fail("%s, not a constant expression" % e.name)
 
-    def _pred(self, p: Predicate, widths: Set[int]) -> str:
-        """The precondition *p* as a Python expression, one atom a line.
+    # ------------------------------------------------------------------
+    # deciding the precondition
 
-        An atom is two-valued here, so the connectives are Python's."""
+    def _decide(self, p: Predicate) -> tuple:
+        """The precondition *p* as the tree of atoms the printers print:
+        ``("not", q)``, ``("and", qs)`` and ``("or", qs)`` over
+        ``("cmp", op, a, b)``, ``("holds", fn, args)`` (a built-in over
+        constants), ``("query", fn, args)`` (one :class:`Analyses`
+        query), ``("const", inputs)`` (each input binds a constant),
+        ``("if", test, then, else)`` and ``("bool", value)``."""
         if isinstance(p, PredTrue):
-            return "True"
+            return _TRUE
         if isinstance(p, PredNot):
-            return "not %s" % self._pred(p.p, widths)
+            return "not", self._decide(p.p)
         if isinstance(p, (PredAnd, PredOr)):
-            glue = "\n            %s " % ("and" if isinstance(p, PredAnd)
-                                          else "or")
-            return "(%s)" % glue.join(self._pred(q, widths) for q in p.ps)
+            return ("and" if isinstance(p, PredAnd) else "or",
+                    tuple(self._decide(q) for q in p.ps))
         if isinstance(p, PredCmp):
-            width = self._width(p.a, widths)
-            a, b = (self._const(e, width or _NO_WIDTH, self.bindings)
-                    for e in (p.a, p.b))
-            if width is None:
-                return "False"
-            return "compare(%r, %s, %s, %s)" % (p.op, a, b, width[0])
-        return self._call(p, widths)
+            for e in (p.a, p.b):
+                self._const(e, _NO_WIDTH, self.bindings)  # names bound?
+            if self.width_of(p.a) is None:
+                return _FALSE
+            return "cmp", p.op, p.a, p.b
+        return self._call(p)
 
-    def _call(self, call: PredCall, widths: Set[int]) -> str:
-        """A built-in: ``builtin_holds`` when every argument is a
-        constant, else one :class:`Analyses` query or false."""
-        fn = call.fn
-        # each argument as a Python MValue (None: no width to build a
-        # constant at), whether it is a constant (None: if it is an
-        # MConst, an input can be either), and its value as Python
-        args, consts, values = [], [], []
-        for a in call.args:
+    def _call(self, call: PredCall) -> tuple:
+        """A built-in: over constants when every argument is one, else
+        one :class:`Analyses` query or false; over an input, which can
+        bind a constant or not, the test decides between the two."""
+        fn, args = call.fn, call.args
+        first = args[0]
+        for a in args:
             if isinstance(a, _NAMED):
-                r = "v%d" % self._register(a.name, self.bindings)
-                args.append(r)
-                consts.append(True if isinstance(a, ast.ConstantSymbol)
-                              else None if isinstance(a, ast.Input)
-                              else False)
-                values.append(r + ".value")
-                continue
-            width = self._width(a, widths)
-            value = self._const(a, width or _NO_WIDTH, self.bindings) \
-                if is_constant_value(a) else None
-            if width is None or value is None:
-                args.append(None)
-                consts.append(False)
-                values.append(None)
-                continue
-            values.append(value)
-            args.append("MConst(%s, %s)" % (value, width[0]))
-            consts.append(True)
-        first = call.args[0]
+                self._register(a.name, self.bindings)
+            elif is_constant_value(a):
+                self._const(a, _NO_WIDTH, self.bindings)
+        # a constant expression has a value only at a known width
+        valueless = [not isinstance(a, _NAMED) and (
+            not is_constant_value(a) or self.width_of(a) is None)
+            for a in args]
         if fn == "hasOneUse":
-            if not isinstance(first, _NAMED):
-                return "False"
-            return "analyses.has_one_use(%s)" % args[0]
+            return ("query", fn, args) if isinstance(first, _NAMED) \
+                else _FALSE
         if fn == "isConstant":
-            const = consts[0]
-            return "isinstance(%s, MConst)" % args[0] if const is None \
-                else repr(const)
+            if isinstance(first, ast.Input):
+                return "const", (first,)
+            return _FALSE if valueless[0] or isinstance(
+                first, ast.Instruction) else _TRUE
         if fn == "MaskedValueIsZero":
-            mask = call.args[1]
-            if args[0] is None or not is_constant_value(mask):
-                return "False"
-            width = self._width(first, widths)
-            return "analyses.masked_value_is_zero(%s, %s)" % (
-                args[0], self._const(mask, width, self.bindings))
-        query = _ANALYSIS_QUERIES.get(fn)
-        query = "False" if query is None or None in args else \
-            "analyses.%s(%s)" % (query, ", ".join(args))
-        if False in consts:
+            return _FALSE if valueless[0] or not is_constant_value(
+                args[1]) else ("query", fn, args)
+        query = ("query", fn, args) \
+            if fn in _ANALYSIS_QUERIES and not any(valueless) else _FALSE
+        if any(valueless) or any(isinstance(a, ast.Instruction)
+                                 for a in args):
             return query
-        width = "%s.width" % args[0] if isinstance(first, _NAMED) \
-            else self._width(first, widths)[0]
-        holds = "builtin_holds(%r, %s, %s)" % (fn, _tuple(values), width)
-        tests = [args[i] for i, const in enumerate(consts) if const is None]
-        if not tests:
-            return holds
-        return "(%s if %s else %s)" % (holds, " and ".join(
-            "isinstance(%s, MConst)" % r for r in tests), query)
+        inputs = tuple(a for a in args if isinstance(a, ast.Input))
+        if not inputs:
+            return "holds", fn, args
+        return "if", ("const", inputs), ("holds", fn, args), query
+
+    # ------------------------------------------------------------------
+    # printing the precondition as Python
+
+    def _pred(self, p: tuple, widths: Set[int]) -> str:
+        """The decided precondition *p* as a Python expression, one atom
+        a line.  An atom is two-valued here, so the connectives are
+        Python's."""
+        kind = p[0]
+        if kind == "bool":
+            return repr(p[1])
+        if kind == "not":
+            return "not %s" % self._pred(p[1], widths)
+        if kind in ("and", "or"):
+            glue = "\n            %s " % kind
+            return "(%s)" % glue.join(self._pred(q, widths) for q in p[1])
+        if kind == "if":
+            return "(%s if %s else %s)" % (self._pred(p[2], widths),
+                                           self._pred(p[1], widths),
+                                           self._pred(p[3], widths))
+        if kind == "const":
+            return " and ".join("isinstance(%s, MConst)"
+                                % self._value(a, widths) for a in p[1])
+        if kind == "cmp":
+            _, op, a, b = p
+            width = self._width(a, widths)
+            return "compare(%r, %s, %s, %s)" % (
+                op, self._const(a, width, self.bindings),
+                self._const(b, width, self.bindings), width[0])
+        _, fn, args = p
+        first = args[0]
+        if kind == "holds":
+            width = "%s.width" % self._value(first, widths) \
+                if isinstance(first, _NAMED) else self._width(first,
+                                                               widths)[0]
+            return "builtin_holds(%r, %s, %s)" % (fn, _tuple(
+                self._value(a, widths) + ".value" if isinstance(a, _NAMED)
+                else self._const(a, self._width(a, widths), self.bindings)
+                for a in args), width)
+        values = [self._value(a, widths) for a in args] \
+            if fn != "MaskedValueIsZero" else [  # the mask at x's width
+                self._value(first, widths), self._const(
+                    args[1], self._width(first, widths), self.bindings)]
+        return "analyses.%s(%s)" % (_ANALYSIS_QUERIES[fn],
+                                    ", ".join(values))
+
+    def _value(self, a: ast.Value, widths: Set[int]) -> str:
+        """The argument *a* of a built-in as a Python MValue: the value
+        bound to a name, else the constant *a* evaluates to."""
+        if isinstance(a, _NAMED):
+            return "v%d" % self.bindings[a.name]
+        width = self._width(a, widths)
+        return "MConst(%s, %s)" % (self._const(a, width, self.bindings),
+                                   width[0])
 
 
 def reads(e: ast.Value) -> Set[str]:
@@ -508,6 +549,9 @@ def reads(e: ast.Value) -> Set[str]:
 #: the width a constant expression is compiled at only to check the
 #: names it reads, where its type has no width
 _NO_WIDTH = ("0", "0")
+
+#: the atoms of a precondition decided before any value is matched
+_TRUE, _FALSE = ("bool", True), ("bool", False)
 
 
 def _tuple(items: Iterable[str]) -> str:

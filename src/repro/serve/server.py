@@ -347,8 +347,23 @@ class VerifyServer:
                                       retry_after=wait)
         if "cache_put" in obj:
             return self._handle_cache_put(obj, req_id)
-        if "jobs" in obj:
-            return await self._handle_jobs(obj, req_id)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        self._enter_request()
+        try:
+            response = await (self._handle_jobs(obj, req_id)
+                              if "jobs" in obj
+                              else self._handle_rules(obj, req_id))
+        finally:
+            self._leave_request()
+        if response["ok"]:
+            self.metrics.inc("serve_requests_total")
+            self.metrics.observe_latency(loop.time() - start)
+        return response
+
+    async def _handle_rules(self, obj: dict, req_id) -> dict:
+        """Verify Alive rule text: plan it, resolve the jobs, aggregate
+        each rule's verdict."""
         rules = obj.get("rules")
         if not isinstance(rules, str) or not rules.strip():
             self.metrics.inc("serve_bad_requests_total")
@@ -364,75 +379,74 @@ class VerifyServer:
         except (ValueError, TypeError) as e:
             self.metrics.inc("serve_bad_requests_total")
             return error_response(req_id, ERR_BAD_REQUEST, detail=str(e))
-
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        self._enter_request()
         try:
-            try:
-                plans = await loop.run_in_executor(
-                    None, self._plan, rules, config)
-            except AliveError as e:
-                self.metrics.inc("serve_bad_requests_total")
-                return error_response(req_id, ERR_BAD_REQUEST,
-                                      detail=str(e))
+            plans = await asyncio.get_running_loop().run_in_executor(
+                None, self._plan, rules, config)
+        except AliveError as e:
+            self.metrics.inc("serve_bad_requests_total")
+            return error_response(req_id, ERR_BAD_REQUEST, detail=str(e))
 
-            unique: Dict[str, dict] = {}
-            for plan in plans:
-                for job in plan.jobs:
-                    unique.setdefault(job.key, job.payload())
+        unique: Dict[str, dict] = {}
+        for plan in plans:
+            for job in plan.jobs:
+                unique.setdefault(job.key, job.payload())
 
-            # admission control: count only the jobs that would *add*
-            # buffered work — cache hits and coalescible keys are free
-            new_jobs = [
-                key for key in unique
-                if not self.batcher.is_inflight(key)
-                and (self.cache is None or self.cache.get(key) is None)
-            ]
-            if self.batcher.pending + len(new_jobs) > \
-                    self.options.queue_depth:
-                self.metrics.inc("serve_overloaded_total")
-                return error_response(req_id, ERR_OVERLOADED,
-                                      detail="queue depth exceeded",
-                                      retry_after=self._retry_after())
-
-            outcomes: Dict[str, dict] = {}
-            waiters: List[Tuple[str, asyncio.Future]] = []
-            req_stats = {"jobs": len(unique), "cache_hits": 0,
-                         "coalesced": 0}
-            for key, payload in unique.items():
-                entry = self.cache.get(key) if self.cache is not None \
-                    else None
-                if entry is not None:
-                    self.metrics.inc("serve_cache_hits_total")
-                    self.stats.cache_hits += 1
-                    req_stats["cache_hits"] += 1
-                    outcomes[key] = entry["outcome"]
-                    continue
-                future, fresh = self.batcher.submit(payload)
-                if not fresh:
-                    self.metrics.inc("serve_dedup_total")
-                    req_stats["coalesced"] += 1
-                waiters.append((key, future))
-            self.metrics.inc("serve_jobs_total", len(unique))
-            self._update_queue_gauges()
-
-            if waiters:
-                resolved = await asyncio.gather(
-                    *(future for _, future in waiters))
-                outcomes.update(
-                    (key, outcome)
-                    for (key, _), outcome in zip(waiters, resolved))
-                self._update_queue_gauges()
-
-            results = [result_to_wire(aggregate_plan(plan, outcomes))
-                       for plan in plans]
-            self.metrics.inc("serve_requests_total")
+        def respond(outcomes: Dict[str, dict], req_stats: dict) -> dict:
             self.metrics.inc("serve_rules_total", len(plans))
-            self.metrics.observe_latency(loop.time() - start)
-            return ok_response(req_id, results, req_stats)
-        finally:
-            self._leave_request()
+            return ok_response(req_id, [
+                result_to_wire(aggregate_plan(plan, outcomes))
+                for plan in plans], req_stats)
+
+        return await self._resolve(req_id, unique, respond)
+
+    async def _resolve(self, req_id, unique: Dict[str, dict],
+                       respond) -> dict:
+        """Resolve deduplicated job payloads (key -> payload) and answer
+        with ``respond(outcomes, req_stats)``: the one path of both the
+        ``rules`` and the ``jobs`` requests.
+
+        Admission control counts only the jobs that would *add*
+        buffered work — cache hits and coalescible keys are free; then
+        each key is a cache hit, joins an in-flight dispatch or is
+        submitted to the micro-batcher.
+        """
+        new_jobs = [
+            key for key in unique
+            if not self.batcher.is_inflight(key)
+            and (self.cache is None or self.cache.get(key) is None)
+        ]
+        if self.batcher.pending + len(new_jobs) > self.options.queue_depth:
+            self.metrics.inc("serve_overloaded_total")
+            return error_response(req_id, ERR_OVERLOADED,
+                                  detail="queue depth exceeded",
+                                  retry_after=self._retry_after())
+
+        outcomes: Dict[str, dict] = {}
+        waiters: List[Tuple[str, asyncio.Future]] = []
+        req_stats = {"jobs": len(unique), "cache_hits": 0, "coalesced": 0}
+        for key, payload in unique.items():
+            entry = self.cache.get(key) if self.cache is not None else None
+            if entry is not None:
+                self.metrics.inc("serve_cache_hits_total")
+                self.stats.cache_hits += 1
+                req_stats["cache_hits"] += 1
+                outcomes[key] = entry["outcome"]
+                continue
+            future, fresh = self.batcher.submit(payload)
+            if not fresh:
+                self.metrics.inc("serve_dedup_total")
+                req_stats["coalesced"] += 1
+            waiters.append((key, future))
+        self.metrics.inc("serve_jobs_total", len(unique))
+        self._update_queue_gauges()
+        if waiters:
+            resolved = await asyncio.gather(
+                *(future for _, future in waiters))
+            outcomes.update(
+                (key, outcome)
+                for (key, _), outcome in zip(waiters, resolved))
+            self._update_queue_gauges()
+        return respond(outcomes, req_stats)
 
     # ------------------------------------------------------------------
     # Cluster operations (coordinator → node)
@@ -443,9 +457,8 @@ class VerifyServer:
 
         The sharded counterpart of the ``rules`` path: the coordinator
         already planned the corpus, so this node receives raw payloads
-        and returns a ``key → outcome`` map.  Cache fast path,
-        in-flight dedup and the micro-batcher are all shared with
-        interactive requests — a forwarded chunk and a curl of the same
+        and returns a ``key → outcome`` map.  Both take
+        :meth:`_resolve`, so a forwarded chunk and a curl of the same
         rule coalesce onto one dispatch.
         """
         payloads = obj.get("jobs")
@@ -468,54 +481,10 @@ class VerifyServer:
         unique: Dict[str, dict] = {}
         for payload in payloads:
             unique.setdefault(payload["key"], payload)
-        new_jobs = [
-            key for key in unique
-            if not self.batcher.is_inflight(key)
-            and (self.cache is None or self.cache.get(key) is None)
-        ]
-        if self.batcher.pending + len(new_jobs) > self.options.queue_depth:
-            self.metrics.inc("serve_overloaded_total")
-            return error_response(req_id, ERR_OVERLOADED,
-                                  detail="queue depth exceeded",
-                                  retry_after=self._retry_after())
-
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        self._enter_request()
-        try:
-            outcomes: Dict[str, dict] = {}
-            waiters: List[Tuple[str, asyncio.Future]] = []
-            req_stats = {"jobs": len(unique), "cache_hits": 0,
-                         "coalesced": 0}
-            for key, payload in unique.items():
-                entry = self.cache.get(key) if self.cache is not None \
-                    else None
-                if entry is not None:
-                    self.metrics.inc("serve_cache_hits_total")
-                    self.stats.cache_hits += 1
-                    req_stats["cache_hits"] += 1
-                    outcomes[key] = entry["outcome"]
-                    continue
-                future, fresh = self.batcher.submit(payload)
-                if not fresh:
-                    self.metrics.inc("serve_dedup_total")
-                    req_stats["coalesced"] += 1
-                waiters.append((key, future))
-            self.metrics.inc("serve_jobs_total", len(unique))
-            self._update_queue_gauges()
-            if waiters:
-                resolved = await asyncio.gather(
-                    *(future for _, future in waiters))
-                outcomes.update(
-                    (key, outcome)
-                    for (key, _), outcome in zip(waiters, resolved))
-                self._update_queue_gauges()
-            self.metrics.inc("serve_requests_total")
-            self.metrics.observe_latency(loop.time() - start)
-            return {"id": req_id, "ok": True, "outcomes": outcomes,
-                    "stats": req_stats}
-        finally:
-            self._leave_request()
+        return await self._resolve(
+            req_id, unique, lambda outcomes, req_stats: {
+                "id": req_id, "ok": True, "outcomes": outcomes,
+                "stats": req_stats})
 
     def _handle_cache_put(self, obj: dict, req_id) -> dict:
         """Install replicated verdict entries (write-through tier).

@@ -107,9 +107,6 @@ class CnfBuilder:
     def lit_const(self, value: bool) -> int:
         return self.true_lit if value else self.false_lit
 
-    def gate_not(self, a: int) -> int:
-        return -a
-
     def gate_and(self, lits: Iterable[int]) -> int:
         true_lit = self.true_lit
         inputs = set()

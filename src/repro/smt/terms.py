@@ -229,11 +229,6 @@ def min_signed(width: int) -> int:
     return 1 << (width - 1)
 
 
-def max_signed(width: int) -> int:
-    """INT_MAX at *width* as an unsigned bit pattern."""
-    return (1 << (width - 1)) - 1
-
-
 # ---------------------------------------------------------------------------
 # Leaf constructors
 # ---------------------------------------------------------------------------
@@ -806,27 +801,6 @@ def free_vars(term: Term):
         else:
             stack.extend(t.args)
     return out
-
-
-def dag_size(term: Term, limit: Optional[int] = None) -> int:
-    """Number of distinct nodes in *term*'s DAG (iterative walk).
-
-    With *limit*, counting stops at ``limit + 1`` nodes, so callers
-    using the size only as a threshold pay O(limit) regardless of how
-    large the term really is.
-    """
-    seen = set()
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        i = id(t)
-        if i in seen:
-            continue
-        seen.add(i)
-        if limit is not None and len(seen) > limit:
-            break
-        stack.extend(t.args)
-    return len(seen)
 
 
 def substitute(term: Term, mapping: Dict[Term, Term]) -> Term:

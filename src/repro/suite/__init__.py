@@ -90,17 +90,6 @@ def load_all_flat() -> List[Transformation]:
     return out
 
 
-def iter_corpus():
-    """Yield ``(category, transformation)`` in Table 3 order.
-
-    The batch engine's natural input shape: a flat job stream that
-    still remembers which per-file row each verdict belongs to.
-    """
-    for cat in CATEGORIES:
-        for t in load_category(cat):
-            yield cat, t
-
-
 def load_bugs() -> List[Transformation]:
     """The eight Figure 8 bugs (expected: all refuted)."""
     return _load_file("bugs.opt")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.codegen import CodegenError, generate_cpp, generate_pass
 from repro.ir import parse_transformation
+from repro.opt import TemplateMatcher
 
 
 def gen(text):
@@ -290,11 +291,23 @@ class TestSourceConstantExpressions:
 
 
 class TestPreconditionBuiltins:
-    @pytest.mark.parametrize("fn", ["isSignBit", "isShiftedMask"])
-    def test_value_argument_has_no_cpp_form(self, fn):
-        with pytest.raises(CodegenError):
-            gen("Pre: %s(%%y)\n%%r = add %%x, %%y\n=>\n%%r = add %%y, %%x"
-                % fn)
+    @pytest.mark.parametrize("pre", [
+        "isSignBit(%y)", "isShiftedMask(%y)",
+        "WillNotOverflowUnsignedMul(%x, %y)", "MaskedValueIsZero(%x, %y)",
+    ])
+    def test_cpp_prints_the_python_decision(self, pre):
+        # a built-in on an input, which binds a constant or not
+        t = parse_transformation("Pre: %s\n%%r = add %%x, %%y\n=>\n"
+                                 "%%r = add %%y, %%x" % pre)
+        python = TemplateMatcher(t).program.source
+        python = python[python.index("    if not ("):]
+        cpp = condition(generate_cpp(t))[-1]
+        register = {"v%d" % r: name.lstrip("%") for name, r in
+                    TemplateMatcher(t).program.bindings.items()}
+        assert re.findall(r"isa<ConstantInt>\((\w+)\)", cpp) == [
+            register[v] for v in re.findall(r"isinstance\((v\d+), MConst\)",
+                                            python)]
+        assert cpp.count("false") == python.count("False")
 
     def test_power_of_two_or_zero(self):
         code = gen("Pre: isPowerOf2OrZero(C)\n%r = and %x, C\n=>\n"
